@@ -53,7 +53,6 @@ def _series_data(n: int = _NSER) -> tuple[np.ndarray, np.ndarray]:
     A = np.empty(n)
     d = np.empty(n)
     A[0] = 1.0
-    d[0] = 4.0 * np.log(2.0) / 2.0 + np.log(2.0) * 0  # placeholder, fixed below
     d[0] = 2.0 * np.log(2.0)
     for m in range(1, n):
         A[m] = A[m - 1] * ((2 * m - 1) / (2 * m)) ** 2
@@ -100,18 +99,16 @@ def _polyval_ascending(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def ellipke(k):
-    """Vectorized K(k), E(k) for k in [0, 1) by the AGM iteration.
+def _agm(b0, csum0):
+    """K, E from the AGM started at (a, b) = (1, b0) with b0 = k', and
+    csum0 = c_0^2 / 2 = k^2 / 2.
 
     Terminates when arithmetic and geometric means agree to machine epsilon
     relative; quadratic convergence keeps the count below ~10 in doubles.
     """
-    k = np.asarray(k, dtype=float)
-    if np.any(k < 0) or np.any(k >= 1):
-        raise ModulusError("modulus must satisfy 0 <= k < 1")
-    a = np.ones_like(k)
-    b = np.sqrt((1.0 - k) * (1.0 + k))
-    csum = 0.5 * k * k  # 2^(n-1) c_n^2, n = 0 term
+    a = np.ones_like(b0)
+    b = b0
+    csum = csum0  # 2^(n-1) c_n^2, n = 0 term
     pow2 = 1.0
     for _ in range(60):
         c = 0.5 * (a - b)
@@ -125,6 +122,14 @@ def ellipke(k):
     K = np.pi / (2.0 * a)
     E = K * (1.0 - csum)
     return K, E
+
+
+def ellipke(k):
+    """Vectorized K(k), E(k) for k in [0, 1) by the AGM iteration."""
+    k = np.asarray(k, dtype=float)
+    if np.any(k < 0) or np.any(k >= 1):
+        raise ModulusError("modulus must satisfy 0 <= k < 1")
+    return _agm(np.sqrt((1.0 - k) * (1.0 + k)), 0.5 * k * k)
 
 
 def ellipke_complement(q):
@@ -137,22 +142,7 @@ def ellipke_complement(q):
     q = np.asarray(q, dtype=float)
     if np.any(q <= 0) or np.any(q > 1):
         raise ModulusError("complement must satisfy 0 < q <= 1")
-    a = np.ones_like(q)
-    b = np.sqrt(q)
-    csum = 0.5 * (1.0 - q)  # c_0^2 / 2 with c_0 = k
-    pow2 = 1.0
-    for _ in range(60):
-        c = 0.5 * (a - b)
-        an = 0.5 * (a + b)
-        b = np.sqrt(a * b)
-        a = an
-        csum = csum + pow2 * c * c
-        pow2 *= 2.0
-        if np.all(np.abs(c) <= _EPS * a):
-            break
-    K = np.pi / (2.0 * a)
-    E = K * (1.0 - csum)
-    return K, E
+    return _agm(np.sqrt(q), 0.5 * (1.0 - q))
 
 
 def ellip_log_split(q):
@@ -176,8 +166,7 @@ def ellip_log_split(q):
     if np.any(big):
         qb = q[big]
         L = np.log(1.0 / qb)
-        k = np.sqrt(1.0 - qb)
-        K, E = ellipke(k)
+        K, E = ellipke_complement(qb)
         RK[big] = K - (1.0 / np.pi) * Kc[big] * L
         RE[big] = E - (1.0 / np.pi) * (Kc[big] - Ec[big]) * L
     return Kc, Ec, RK, RE

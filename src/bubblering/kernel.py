@@ -150,39 +150,27 @@ def filament_stream_gradient(ring_position, strength, eval_point):
 
 
 # ---------------------------------------------------------------------------
-# split pieces for the Nystrom scheme (parameter-space kernels live in
-# nystrom.py; here only the pointwise factors)
+# split pieces for the Nystrom scheme: pointwise factors only; the solver
+# turns them into quadrature matrices
 
-def kernel_split(r, z, rb, zb):
-    """Return (k, q, FL, Freg, pref) with
+def _split_factors(r, z, rb, zb, nr=None, nz=None, kappa_diag=None):
+    """One pass over the point pairs for both split kernels.
 
-        G = pref * (FL * ln(1/q) + Freg),   pref = sqrt(r rb)/(2 pi),
-
-    valid for all point pairs including nearly coincident ones (q -> 0).
+    Returns (k, q, rho2, FL, Freg, pref, AL, Areg): the single-layer factors
+    of `kernel_split` and, when the target normal (nr, nz) is given, the
+    normal-derivative factors of `gradient_split` (else AL = Areg = None).
+    The modulus and the elliptic log split are computed once for both.
     """
     k, q, d1sq, rho2 = _modulus(r, z, rb, zb)
     Kc, Ec, RK, RE = ellip_log_split(q)
     FL = ((2.0 / k) * Ec - k * Kc) / np.pi
     Freg = (2.0 / k - k) * RK - (2.0 / k) * RE
     pref = np.sqrt(r * rb) / (2.0 * np.pi)
-    return k, q, FL, Freg, pref
+    if nr is None:
+        return k, q, rho2, FL, Freg, pref, None, None
 
-
-def gradient_split(r, z, rb, zb, nr, nz, kappa_diag=None):
-    """Split of the normal-derivative kernel n(x) . grad_x G(y, x).
-
-        n . grad G = AL * ln(1/q) + Areg,
-
-    both factors smooth up to the diagonal.  (nr, nz) is the unit normal at
-    the target x = (r, z); `kappa_diag` supplies the curvature for the
-    diagonal limit of the double-layer factor (x - y) . n / |x - y|^2.
-    """
-    k, q, d1sq, rho2 = _modulus(r, z, rb, zb)
-    Kc, Ec, RK, RE = ellip_log_split(q)
     kme_q = kc_minus_ec_over_q(q, Kc, Ec)
     k2 = k * k
-    FL = ((2.0 / k) * Ec - k * Kc) / np.pi
-    Freg = (2.0 / k - k) * RK - (2.0 / k) * RE
     dFL = (-2.0 * Kc + (2.0 - k2) * kme_q) / (np.pi * k2)
 
     dr_ = r - rb
@@ -200,9 +188,33 @@ def gradient_split(r, z, rb, zb, nr, nz, kappa_diag=None):
     ngradk_q = k * (nr / (2.0 * r) - dl)
 
     pref_f = nr * np.sqrt(rb / r) / (4.0 * np.pi)
-    pref_g = np.sqrt(r * rb) / (2.0 * np.pi)
-    AL = pref_f * FL + pref_g * dFL * ngradk
-    Areg = pref_f * Freg + pref_g * (
+    AL = pref_f * FL + pref * dFL * ngradk
+    Areg = pref_f * Freg + pref * (
         (-2.0 * RK / k2) * ngradk + ((2.0 - k2) * RE / k2) * ngradk_q
     )
+    return k, q, rho2, FL, Freg, pref, AL, Areg
+
+
+def kernel_split(r, z, rb, zb):
+    """Return (k, q, FL, Freg, pref) with
+
+        G = pref * (FL * ln(1/q) + Freg),   pref = sqrt(r rb)/(2 pi),
+
+    valid for all point pairs including nearly coincident ones (q -> 0).
+    """
+    k, q, _, FL, Freg, pref, _, _ = _split_factors(r, z, rb, zb)
+    return k, q, FL, Freg, pref
+
+
+def gradient_split(r, z, rb, zb, nr, nz, kappa_diag=None):
+    """Split of the normal-derivative kernel n(x) . grad_x G(y, x).
+
+        n . grad G = AL * ln(1/q) + Areg,
+
+    both factors smooth up to the diagonal.  (nr, nz) is the unit normal at
+    the target x = (r, z); `kappa_diag` supplies the curvature for the
+    diagonal limit of the double-layer factor (x - y) . n / |x - y|^2.
+    """
+    _, q, rho2, _, _, _, AL, Areg = _split_factors(r, z, rb, zb, nr, nz,
+                                                    kappa_diag)
     return q, rho2, AL, Areg

@@ -13,6 +13,17 @@ kernel part, and the spectral quadrature of Martensen/Kussmaul type for the
 logarithmic part ln(4 sin^2((t - tau)/2)); the normal derivative follows
 from the conormal jump relation of the single layer, with the principal
 value handled by the same splitting.
+
+Assembly is one pass: the modulus, the elliptic log split and the log
+factor are computed once per point pair and give the rows of both the
+single-layer and the normal-derivative matrix.  `solve_dirichlet` uses the
+z -> -z mirror symmetry of every section: it assembles only the rows of
+nodes 0..n/2, folds column n - j onto column j and solves the bordered
+system of n/2 + 1 densities plus gamma, then unfolds the results to all n
+nodes.  The system is solved by LU; `condition_number` is the 1-norm
+condition estimate of LAPACK's dgecon algorithm, taken from that
+factorization, for the folded bordered system, and the solve is refused
+above MAX_CONDITION.
 """
 
 from __future__ import annotations
@@ -20,8 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
-from .kernel import kernel_split, gradient_split, ring_kernel
+from .kernel import _split_factors, ring_kernel
 from .shapes import CrossSection, Polygon, SmoothBoundary, boundary_nodes
 
 __all__ = [
@@ -106,67 +118,86 @@ def log_quadrature_weights(n_nodes: int) -> np.ndarray:
     return R
 
 
-def _pairwise(bnd: SmoothBoundary):
-    r = bnd.r[:, None]
-    z = bnd.z[:, None]
-    rb = bnd.r[None, :]
-    zb = bnd.z[None, :]
-    return r, z, rb, zb
-
-
-def _log_factor(bnd: SmoothBoundary, q: np.ndarray) -> np.ndarray:
-    """ln(q / (4 sin^2((t_i - t_j)/2))) with its diagonal limit
-    ln(speed^2 / (4 r^2))."""
-    n = bnd.n_nodes
-    dt = bnd.t[:, None] - bnd.t[None, :]
-    s2 = 4.0 * np.sin(0.5 * dt) ** 2
-    np.fill_diagonal(s2, 1.0)
-    ratio = q / s2
-    np.fill_diagonal(ratio, bnd.speed**2 / (4.0 * bnd.r**2))
+def _log_factor(bnd: SmoothBoundary, q: np.ndarray, rows: np.ndarray,
+                idx: np.ndarray) -> np.ndarray:
+    """ln(q / (4 sin^2((t_i - t_j)/2))) on target rows `rows`, idx = |i - j|,
+    with the diagonal limit ln(speed^2 / (4 r^2))."""
+    s2 = 4.0 * np.sin(np.pi * np.arange(bnd.n_nodes) / bnd.n_nodes) ** 2
+    s2[0] = 1.0
+    ratio = q / s2[idx]
+    ratio[np.arange(rows.size), rows] = (bnd.speed[rows]**2
+                                         / (4.0 * bnd.r[rows]**2))
     return np.log(ratio)
+
+
+def _assemble(bnd: SmoothBoundary, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Target rows `rows` (all n columns) of the single-layer matrix S and
+    the principal-value normal-derivative matrix A, from one pass over the
+    kernel factors: psi = S phi, dpsi/dn = -r phi / 2 + A phi."""
+    n = bnd.n_nodes
+    rows = np.asarray(rows)
+    idx = np.abs(rows[:, None] - np.arange(n)[None, :])
+    _, q, _, FL, Freg, pref, AL, Areg = _split_factors(
+        bnd.r[rows, None], bnd.z[rows, None], bnd.r, bnd.z,
+        bnd.normal_r[rows, None], bnd.normal_z[rows, None],
+        kappa_diag=bnd.curvature[rows, None])
+    h = 2.0 * np.pi / n
+    # log weights R_|i-j| plus the trapezoid on ln(q / 4 sin^2): both
+    # kernels carry the same log factor
+    Rlog = log_quadrature_weights(n)[idx] + h * _log_factor(bnd, q, rows, idx)
+    S = (h * Freg - Rlog * FL) * (pref * bnd.speed)
+    A = (h * Areg - Rlog * AL) * bnd.speed
+    return S, A
 
 
 def single_layer_matrix(bnd: SmoothBoundary) -> np.ndarray:
     """Matrix mapping nodal densities to psi at the nodes."""
-    n = bnd.n_nodes
-    r, z, rb, zb = _pairwise(bnd)
-    k, q, FL, Freg, pref = kernel_split(r, z, rb, zb)
-    lnfac = _log_factor(bnd, q)
-    M1 = -pref * FL
-    M2 = pref * (Freg - FL * lnfac)
-    # diagonal: k = 1, q = 0 limits (FL -> 1/2, Freg -> ln 4 - 2)
-    np.fill_diagonal(M1, -bnd.r / (4.0 * np.pi))
-    diag2 = bnd.r / (2.0 * np.pi) * (
-        (np.log(4.0) - 2.0) - 0.5 * np.log(bnd.speed**2 / (4.0 * bnd.r**2))
-    )
-    np.fill_diagonal(M2, diag2)
-    R = log_quadrature_weights(n)
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    return (R[idx] * M1 + (2.0 * np.pi / n) * M2) * bnd.speed[None, :]
+    return _assemble(bnd, np.arange(bnd.n_nodes))[0]
 
 
 def normal_derivative_matrix(bnd: SmoothBoundary) -> np.ndarray:
     """Matrix for the principal-value part of dpsi/dn on the exterior side;
     the full exterior derivative is  -r phi / 2 + (this matrix) phi."""
-    n = bnd.n_nodes
-    r, z, rb, zb = _pairwise(bnd)
-    nr = bnd.normal_r[:, None]
-    nz = bnd.normal_z[:, None]
-    kap = np.broadcast_to(bnd.curvature[:, None], (n, n))
-    q, rho2, AL, Areg = gradient_split(r, z, rb, zb, nr, nz, kappa_diag=kap)
-    lnfac = _log_factor(bnd, q)
-    A1 = -AL
-    A2 = Areg - AL * lnfac
-    R = log_quadrature_weights(n)
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    return (R[idx] * A1 + (2.0 * np.pi / n) * A2) * bnd.speed[None, :]
+    return _assemble(bnd, np.arange(bnd.n_nodes))[1]
 
 
-def _first_kind_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    cond = np.linalg.cond(mat)
+def _inverse_norm1(lu, n: int) -> float:
+    """Estimate of ||M^-1||_1 from the LU factors of M in O(n^2).
+
+    Hager's method with Higham's refinements, the algorithm of LAPACK's
+    dgecon.  It is written out here because dgecon's result changes in the
+    last bits with the alignment of its internal work arrays, which differs
+    from one process to the next; this keeps outputs byte-identical.
+    """
+    x = np.full(n, 1.0 / n)
+    est = 0.0
+    for it in range(5):
+        y = lu_solve(lu, x, check_finite=False)
+        y_norm = float(np.sum(np.abs(y)))
+        if it and not y_norm > est:
+            break
+        est = y_norm
+        z = lu_solve(lu, np.where(y >= 0.0, 1.0, -1.0), trans=1,
+                     check_finite=False)
+        j = int(np.argmax(np.abs(z)))
+        if it and not abs(z[j]) > z @ x:
+            break
+        x = np.zeros(n)
+        x[j] = 1.0
+    # alternating test vector: guards against the estimator's blind spots
+    i = np.arange(n)
+    alt = np.where(i % 2, -1.0, 1.0) * (1.0 + i / max(n - 1, 1))
+    alt_norm = float(np.sum(np.abs(lu_solve(lu, alt, check_finite=False))))
+    return max(est, 2.0 * alt_norm / (3.0 * n))
+
+
+def _first_kind_solve(mat: np.ndarray, rhs: np.ndarray):
+    """LU solve, gated on the 1-norm condition estimate of `mat`."""
+    lu = lu_factor(mat, check_finite=False)
+    cond = np.linalg.norm(mat, 1) * _inverse_norm1(lu, mat.shape[0])
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise SolverError(f"boundary system ill-conditioned: cond = {cond:.3g}")
-    return np.linalg.solve(mat, rhs), cond
+    return lu_solve(lu, rhs, check_finite=False), cond
 
 
 def solve_first_kind(shape: CrossSection, dirichlet_values, resolution=None):
@@ -195,31 +226,46 @@ def solve_dirichlet(shape: CrossSection, W: float,
     gamma is determined jointly with the density by appending the discrete
     circulation constraint  sum w_i (1/r_i) dpsi/dn_i = -1, evaluated by
     the same jump-relation quadrature that reports dn_psi.
+
+    The section is symmetric under z -> -z (`boundary_nodes` checks it), so
+    node n - j mirrors node j and the density and both traces are even in
+    it.  Only the rows of the independent nodes 0..n/2 are assembled;
+    column n - j is folded onto column j, and the circulation row weights
+    each node by its multiplicity (1 for nodes 0 and n/2, else 2).
     """
     if not np.isfinite(W):
         raise ValueError("translation speed W must be finite")
     bnd = _smooth_or_raise(shape, resolution)
     n = bnd.n_nodes
-    S = single_layer_matrix(bnd)
-    A = normal_derivative_matrix(bnd)
+    half = n // 2
+    m = half + 1
+    rows = np.arange(m)
+    S, A = _assemble(bnd, rows)
+    # fold column n - j onto column j, j = 1 .. n/2 - 1
+    S = S[:, :m] + np.pad(S[:, :half:-1], ((0, 0), (1, 1)))
+    A = A[:, :m] + np.pad(A[:, :half:-1], ((0, 0), (1, 1)))
+    mult = np.full(m, 2.0)
+    mult[[0, half]] = 1.0
+    r = bnd.r[rows]
+    w = mult * bnd.weights[rows]
 
     # (1/r) dpsi/dn = -phi/2 + (1/r) A phi; circulation row in phi:
-    circ_row = -0.5 * bnd.weights + (bnd.weights / bnd.r) @ A
-
-    sys = np.zeros((n + 1, n + 1))
-    sys[:n, :n] = S
-    sys[:n, n] = -1.0
-    sys[n, :n] = circ_row
-    rhs = np.zeros(n + 1)
-    rhs[:n] = 0.5 * W * bnd.r**2
-    rhs[n] = -1.0
+    sys = np.zeros((m + 1, m + 1))
+    sys[:m, :m] = S
+    sys[:m, m] = -1.0
+    sys[m, :m] = -0.5 * w + (w / r) @ A
+    rhs = np.zeros(m + 1)
+    rhs[:m] = 0.5 * W * r**2
+    rhs[m] = -1.0
     sol, cond = _first_kind_solve(sys, rhs)
-    phi = sol[:n]
-    gamma = sol[n]
+    phi = sol[:m]
+    gamma = sol[m]
 
-    dn_psi = -bnd.r * phi / 2.0 + A @ phi
-    circulation = -float(np.sum(bnd.weights / bnd.r * dn_psi))
+    dn_psi = -r * phi / 2.0 + A @ phi
     psi_trace = S @ phi
+    mirror = np.minimum(np.arange(n), n - np.arange(n))
+    phi, dn_psi, psi_trace = phi[mirror], dn_psi[mirror], psi_trace[mirror]
+    circulation = -float(np.sum(bnd.weights / bnd.r * dn_psi))
     return BoundarySolution(
         shape=shape, boundary=bnd, density=phi, psi_trace=psi_trace,
         dn_psi=dn_psi, W=float(W), gamma=float(gamma),
@@ -239,11 +285,8 @@ def evaluate_stream(sol_or_density, bnd: SmoothBoundary | None = None,
     pr, pz = points
     pr = np.atleast_1d(np.asarray(pr, dtype=float))
     pz = np.atleast_1d(np.asarray(pz, dtype=float))
-    out = np.empty(pr.shape)
-    for i, (rr, zz) in enumerate(zip(pr, pz)):
-        vals = ring_kernel((bnd.r, bnd.z), (np.full(bnd.n_nodes, rr),
-                                            np.full(bnd.n_nodes, zz)))
-        out[i] = np.sum(vals * phi * bnd.weights)
+    vals = ring_kernel((bnd.r, bnd.z), (pr[:, None], pz[:, None]))
+    out = vals @ (phi * bnd.weights)
     return out if out.size > 1 else float(out[0])
 
 

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bubblering import solver
 from bubblering.kernel import ring_kernel, ring_kernel_gradient
-from bubblering.shapes import Disk, Ellipse, Polygon, boundary_nodes
+from bubblering.shapes import (Disk, Ellipse, FourierStar, Polygon,
+                               boundary_nodes)
 from bubblering.solver import (
     SolverError,
     dynamic_residual,
     evaluate_stream,
     log_quadrature_weights,
     normal_derivative_matrix,
+    single_layer_matrix,
     solve_dirichlet,
     solve_first_kind,
 )
@@ -175,3 +178,65 @@ def test_residual_requires_positive_we():
     sol = solve_dirichlet(SHAPE, 0.0, 64)
     with pytest.raises(ValueError):
         dynamic_residual(SHAPE, sol, we=-1.0, lam=0.0)
+
+
+def _full_system_solve(shape, W, n):
+    # the unfolded bordered system over all n nodes: n densities plus gamma
+    bnd = boundary_nodes(shape, n)
+    S = single_layer_matrix(bnd)
+    A = normal_derivative_matrix(bnd)
+    mat = np.zeros((n + 1, n + 1))
+    mat[:n, :n] = S
+    mat[:n, n] = -1.0
+    mat[n, :n] = -0.5 * bnd.weights + (bnd.weights / bnd.r) @ A
+    rhs = np.append(0.5 * W * bnd.r**2, -1.0)
+    sol = np.linalg.solve(mat, rhs)
+    phi = sol[:n]
+    return {"density": phi, "dn_psi": -bnd.r * phi / 2.0 + A @ phi,
+            "psi_trace": S @ phi, "gamma": sol[n]}
+
+
+# eps / R0 = 1e-2 at area 2 pi: rho0 = sqrt 2, R0 - rho0 = 1e-2 R0
+_NEAR_AXIS = Disk(R0=np.sqrt(2.0) / (1.0 - 1e-2), rho0=np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("n", [128, 512])
+@pytest.mark.parametrize("shape", [
+    Disk(R0=1.55, rho0=np.sqrt(2.0)),
+    Ellipse(R0=2.0, m=0.8, n=0.6),
+    FourierStar(R0=3.0, base=1.0, coeffs=(0.1, -0.05, 0.02)),
+    _NEAR_AXIS,
+], ids=["disk", "ellipse", "fourier-star", "near-axis-disk"])
+def test_folded_solve_matches_full_system(shape, n):
+    W = 0.3
+    sol = solve_dirichlet(shape, W, n)
+    ref = _full_system_solve(shape, W, n)
+    for name in ["density", "dn_psi", "psi_trace"]:
+        got = getattr(sol, name)
+        assert got.shape == (n,)
+        rel = np.max(np.abs(got - ref[name])) / np.max(np.abs(ref[name]))
+        assert rel <= 1e-10, name
+    assert abs(sol.gamma - ref["gamma"]) <= 1e-10 * abs(ref["gamma"])
+
+
+def test_condition_gate_refuses_solves(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_CONDITION", 10.0)
+    with pytest.raises(SolverError):
+        solve_dirichlet(SHAPE, 0.2, 64)
+    _, data = _filament_data(64)
+    with pytest.raises(SolverError):
+        solve_first_kind(SHAPE, data, 64)
+
+
+def test_inverse_norm_estimate_against_exact():
+    # the estimate is a lower bound of ||M^-1||_1 attained up to a small
+    # factor; 1-norm condition numbers of the test matrices span 6..7e7
+    from scipy.linalg import lu_factor
+    rng = np.random.default_rng(7)
+    for n in [2, 9, 66, 130]:
+        for scale in [1e-6, 1.0, 1e3]:
+            mat = rng.standard_normal((n, n))
+            mat[:, 0] *= scale
+            exact = np.max(np.sum(np.abs(np.linalg.inv(mat)), axis=0))
+            est = solver._inverse_norm1(lu_factor(mat), n)
+            assert exact / 3.0 <= est <= exact * (1.0 + 1e-10)
