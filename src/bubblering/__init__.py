@@ -30,7 +30,7 @@ from .geometry import (
     weber_number,
     width_height,
 )
-from .kernel import filament_stream, filament_stream_gradient, ring_kernel
+from .kernel import ring_kernel
 from .solver import (
     BoundarySolution,
     ResidualReport,

@@ -345,15 +345,10 @@ def outer_radius_ratio(shape: CrossSection) -> float:
     """k = r_max / R for a compact convex cross-section; always <= 3.
 
     The bound is sharp for z-symmetric triangles with one side approaching
-    the axis, so a small tolerance guards the assertion.
+    the axis, so callers compare against 3 with a small tolerance.
     """
     rep = geometry_report(shape)
-    k = rep.r_max / rep.R
-    if k > 3.0 + 1e-10:
-        raise AssertionError(
-            f"convexity ratio r_max/R = {k} exceeds 3; shape data inconsistent"
-        )
-    return float(k)
+    return float(rep.r_max / rep.R)
 
 
 # ---------------------------------------------------------------------------
@@ -371,28 +366,19 @@ def weber_number(params: PhysicalParams, area: float) -> float:
 
 @dataclass(frozen=True)
 class NormalizationFactors:
-    """Multiply physical W, gamma, lambda by these to get the hatted
-    (normalized) quantities with a = 1 and beta = 1."""
+    """The length scale a = sqrt(|E| / 2 pi) removed by `normalize`."""
 
     a: float
-    W: float       # W_hat = W * a / beta
-    gamma: float   # gamma_hat = gamma / (a beta)
-    lam: float     # lambda_hat = lambda * a / sigma
 
 
 def normalize(shape: CrossSection, params: PhysicalParams):
-    """Rescale the shape to area 2 pi (so a = 1) and return the conversion
-    factors for W, gamma and lambda.  delta and mu are scale invariant."""
+    """Rescale the shape to area 2 pi (so a = 1) and return the length
+    scale a that was divided out.  delta and mu are scale invariant.
+
+    The scale depends on the shape alone; `params` does not enter it."""
     rep = geometry_report(shape)
-    a = rep.a
-    scaled = shape.scaled(1.0 / a)
-    factors = NormalizationFactors(
-        a=a,
-        W=a / params.beta,
-        gamma=1.0 / (a * params.beta),
-        lam=a / params.sigma,
-    )
-    return scaled, factors
+    scaled = shape.scaled(1.0 / rep.a)
+    return scaled, NormalizationFactors(a=rep.a)
 
 
 def small_radius_delta_implication(shape: CrossSection) -> bool:

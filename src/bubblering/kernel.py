@@ -25,8 +25,7 @@ from .elliptic import (
     kc_minus_ec_over_q,
 )
 
-__all__ = ["ring_kernel", "ring_kernel_gradient", "filament_stream",
-           "filament_stream_gradient"]
+__all__ = ["ring_kernel", "ring_kernel_gradient"]
 
 # F(k) = sum f_m k^(2m-1), m >= 1: exact series from the K, E expansions;
 # f_1 = 0, so F ~ (pi/16) k^3 at small k (far field).
@@ -137,16 +136,6 @@ def ring_kernel_gradient(source, target):
     if Gr.ndim == 0:
         return float(Gr), float(Gz)
     return Gr, Gz
-
-
-def filament_stream(ring_position, strength, eval_point):
-    """Stream function of a vortex filament of given strength."""
-    return strength * ring_kernel(ring_position, eval_point)
-
-
-def filament_stream_gradient(ring_position, strength, eval_point):
-    gr, gz = ring_kernel_gradient(ring_position, eval_point)
-    return strength * gr, strength * gz
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ cross-sections, which is the numerical face of the low-Weber non-existence
 phenomenon: below the certified Weber threshold the minimized residual
 stays pinned above a strictly positive floor.
 
-Families renormalize to area 2 pi before solving, so all runs live in
-normalized units (a = 1, beta = 1).  Candidates outside the admissible
-region (axis touched, convexity lost, lambda < 0) are scored with a smooth
-penalty and never sent to the solver.
+The best (W, lambda >= 0) of each shape is exact (`optimal_W_lam`), so
+Nelder-Mead runs over the shape parameters only.  Families renormalize to
+area 2 pi, so all runs live in normalized units (a = 1, beta = 1).  Shapes
+outside the admissible region (axis touched, convexity lost) or refused by
+the solver score inf and are logged as penalized.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from scipy.optimize import minimize
 
 from .shapes import (CrossSection, Disk, Ellipse, FourierStar,
                      InvalidShapeError, boundary_nodes)
-from .solver import (BoundarySolution, ResidualReport, SolverError,
-                     solve_dirichlet, dynamic_residual, SOLVER_TOL)
+from .solver import (ResidualReport, SolverError, dynamic_residual,
+                     optimal_W_lam)
 
 __all__ = [
     "ShapeFamily",
@@ -34,11 +35,9 @@ __all__ = [
     "residual_minimize",
     "family_from_name",
     "SEARCH_RESOLUTION",
-    "PENALTY_BASE",
 ]
 
 SEARCH_RESOLUTION = 128
-PENALTY_BASE = 1.0e6
 
 _SQRT2 = np.sqrt(2.0)
 _DISK_R0_MAX = np.sqrt(8.0 / 3.0)   # delta >= 0 for the area-2pi disk
@@ -47,30 +46,18 @@ _DISK_R0_MAX = np.sqrt(8.0 / 3.0)   # delta >= 0 for the area-2pi disk
 class ShapeFamily:
     """Finite-dimensional family of normalized cross-sections.
 
-    Subclasses define `name`, `initial` (shape parameters only) and
-    `make_shape(params) -> CrossSection`, raising InvalidShapeError for
-    parameters outside the admissible region.
+    Subclasses define `name`, `initial`, optional (low, high) `bounds` per
+    parameter and `make_shape(params) -> CrossSection`, raising
+    InvalidShapeError for parameters outside the admissible region.
     """
 
     name: str = "family"
     param_names: tuple = ()
     initial: tuple = ()
-    initial_W: float = 0.0
-    initial_lam: float = 1.0
+    bounds: tuple | None = None
 
     def make_shape(self, params) -> CrossSection:  # pragma: no cover
         raise NotImplementedError
-
-    def admissibility_gap(self, params) -> float:
-        """0 inside the admissible region, positive distance outside.
-
-        Used to shape the penalty so the optimizer is steered back without
-        the solver ever seeing a bad candidate."""
-        try:
-            self.make_shape(params)
-            return 0.0
-        except InvalidShapeError:
-            return 1.0
 
 
 class ThickDiskFamily(ShapeFamily):
@@ -80,6 +67,7 @@ class ThickDiskFamily(ShapeFamily):
     name = "thick-disk"
     param_names = ("R0",)
     initial = (1.55,)
+    bounds = ((_SQRT2, _DISK_R0_MAX),)
 
     def make_shape(self, params) -> Disk:
         (R0,) = params
@@ -87,10 +75,6 @@ class ThickDiskFamily(ShapeFamily):
             raise InvalidShapeError(
                 f"thick-disk family needs sqrt(2) < R0 <= sqrt(8/3), got {R0}")
         return Disk(R0=float(R0), rho0=_SQRT2)
-
-    def admissibility_gap(self, params) -> float:
-        (R0,) = params
-        return max(_SQRT2 - R0, 0.0) + max(R0 - _DISK_R0_MAX, 0.0)
 
 
 class EllipseFamily(ShapeFamily):
@@ -109,10 +93,6 @@ class EllipseFamily(ShapeFamily):
         s = np.sqrt(2.0 / (m * n))
         return Ellipse(R0=R0 * s, m=m * s, n=n * s)
 
-    def admissibility_gap(self, params) -> float:
-        R0, m, n = params
-        return max(-m + 1e-3, 0.0) + max(-n + 1e-3, 0.0) + max(m - R0, 0.0)
-
 
 class FourierFamily(ShapeFamily):
     """Star-shaped sections rho(t) = base + sum c_j cos(j t) around a center
@@ -129,9 +109,8 @@ class FourierFamily(ShapeFamily):
             raise InvalidShapeError(f"fourier family needs base > 0, got {base}")
         raw = FourierStar(R0=R0, base=base, coeffs=coeffs)
         boundary_nodes(raw, 64)  # validates convexity / axis clearance
-        from .geometry import geometry_report
-        rep = geometry_report(raw)
-        s = 1.0 / rep.a
+        # area (1/2) int rho^2 dt = pi (base^2 + sum c_j^2 / 2)
+        s = np.sqrt(2.0 / (base**2 + 0.5 * sum(c * c for c in coeffs)))
         return FourierStar(R0=R0 * s, base=base * s,
                            coeffs=tuple(c * s for c in coeffs))
 
@@ -139,15 +118,12 @@ class FourierFamily(ShapeFamily):
 _FAMILIES = {f.name: f for f in (ThickDiskFamily, EllipseFamily, FourierFamily)}
 
 
-def family_from_name(name: str, **overrides) -> ShapeFamily:
+def family_from_name(name: str) -> ShapeFamily:
     try:
-        fam = _FAMILIES[name]()
+        return _FAMILIES[name]()
     except KeyError:
         raise ValueError(f"unknown family {name!r}; "
                          f"choose from {sorted(_FAMILIES)}") from None
-    for key, val in overrides.items():
-        setattr(fam, key, val)
-    return fam
 
 
 @dataclass
@@ -205,9 +181,11 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
                       resolution: int = SEARCH_RESOLUTION) -> SearchResult:
     """Minimize dyn_residual_l2 over (family parameters, W, lambda >= 0).
 
-    Nelder-Mead with a penalty-augmented objective; deterministic for fixed
-    seed and budget.  budget counts objective evaluations; budget = 1
-    returns the initial candidate's residual unchanged.
+    (W, lambda) are exact per shape (`optimal_W_lam`, one solve); a bounded
+    Nelder-Mead from a `seed`-ed simplex searches the shape parameters, and
+    is deterministic for fixed seed and budget.  budget counts evaluations,
+    each one solve or one rejected shape; budget = 1 returns the initial
+    candidate's residual.
     """
     if isinstance(family, str):
         family = family_from_name(family)
@@ -216,61 +194,50 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
-    n_shape = len(family.initial)
-    x0 = np.array([*family.initial, family.initial_W, family.initial_lam])
-
+    x0 = np.array(family.initial, dtype=float)
     log: list[dict] = []
-    best = {"val": np.inf, "x": x0, "shape": None, "report": None}
 
     def objective(x):
-        params = tuple(x[:n_shape])
-        W, lam = float(x[-2]), float(x[-1])
-        gap = family.admissibility_gap(params) + max(-lam, 0.0)
-        entry = {"eval": len(log) + 1, "params": params, "W": W, "lam": lam,
-                 "dyn_residual_l2": np.nan, "dyn_residual_max": np.nan,
-                 "identity_gap": np.nan, "penalized": gap > 0.0}
-        if gap > 0.0:
-            val = PENALTY_BASE * (1.0 + gap)
-        else:
-            try:
-                shape = family.make_shape(params)
-                sol = solve_dirichlet(shape, W, resolution)
-                rep = dynamic_residual(shape, sol, we, lam)
-                val = rep.dyn_residual_l2
-                entry.update(dyn_residual_l2=rep.dyn_residual_l2,
-                             dyn_residual_max=rep.dyn_residual_max,
-                             identity_gap=rep.identity_gap)
-                if val < best["val"]:
-                    best.update(val=val, x=np.array(x), shape=shape,
-                                report=rep)
-            except (InvalidShapeError, SolverError):
-                entry["penalized"] = True
-                val = PENALTY_BASE * 2.0
+        entry = {"eval": len(log) + 1, "params": tuple(float(p) for p in x),
+                 "W": np.nan, "lam": np.nan, "dyn_residual_l2": np.nan,
+                 "dyn_residual_max": np.nan, "identity_gap": np.nan,
+                 "penalized": True, "shape": None, "report": None}
         log.append(entry)
-        return val
+        try:
+            shape = family.make_shape(entry["params"])
+            sol, W, lam = optimal_W_lam(shape, we, resolution)
+        except (InvalidShapeError, SolverError):
+            return np.inf
+        rep = dynamic_residual(shape, sol, we, lam)
+        entry.update(W=W, lam=lam, dyn_residual_l2=rep.dyn_residual_l2,
+                     dyn_residual_max=rep.dyn_residual_max,
+                     identity_gap=rep.identity_gap, penalized=False,
+                     shape=shape, report=rep)
+        return rep.dyn_residual_l2
 
-    objective(x0)
-    if budget > 1:
-        rng = np.random.default_rng(seed)
-        # reproducible nondegenerate initial simplex around x0
-        steps = 0.05 * (1.0 + np.abs(x0)) * (1.0 + 0.1 * rng.random(x0.size))
-        simplex = np.vstack([x0] + [x0 + steps[i] * np.eye(x0.size)[i]
-                                    for i in range(x0.size)])
-        minimize(objective, x0, method="Nelder-Mead",
-                 options={"maxfev": budget - 1, "initial_simplex": simplex,
-                          "xatol": 1e-10, "fatol": 1e-12})
+    def score(entry):
+        return np.inf if entry["penalized"] else entry["dyn_residual_l2"]
 
-    xb = best["x"]
+    rng = np.random.default_rng(seed)
+    # reproducible nondegenerate initial simplex around x0; Nelder-Mead
+    # evaluates x0 first, so budget = 1 stops there
+    steps = 0.05 * (1.0 + np.abs(x0)) * (1.0 + 0.1 * rng.random(x0.size))
+    simplex = np.vstack([x0, x0 + np.diag(steps)])
+    minimize(objective, x0, method="Nelder-Mead", bounds=family.bounds,
+             options={"maxfev": budget, "initial_simplex": simplex,
+                      "xatol": 1e-10, "fatol": 1e-12})
+
+    best = min(log, key=score)   # the first of equal minima
     return SearchResult(
         family=family.name,
         we=float(we),
         seed=int(seed),
         budget=int(budget),
         resolution=int(resolution),
-        best_params=tuple(float(p) for p in xb[:n_shape]),
-        best_W=float(xb[-2]),
-        best_lam=float(xb[-1]),
-        best_residual=float(best["val"]),
+        best_params=best["params"],
+        best_W=best["W"],
+        best_lam=best["lam"],
+        best_residual=float(score(best)),
         best_shape=best["shape"],
         best_report=best["report"],
         n_evaluations=len(log),

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.linalg import lu_factor, lu_solve
 
 from .kernel import _split_factors, ring_kernel
@@ -42,6 +43,7 @@ __all__ = [
     "ResidualReport",
     "solve_dirichlet",
     "dynamic_residual",
+    "optimal_W_lam",
     "evaluate_stream",
     "log_quadrature_weights",
     "SOLVER_TOL",
@@ -219,22 +221,11 @@ def _smooth_or_raise(shape, resolution) -> SmoothBoundary:
     return boundary_nodes(shape, resolution or shape.resolution)
 
 
-def solve_dirichlet(shape: CrossSection, W: float,
-                    resolution: int | None = None) -> BoundarySolution:
-    """Solve the exterior problem with data W r^2/2 + gamma on the boundary.
-
-    gamma is determined jointly with the density by appending the discrete
-    circulation constraint  sum w_i (1/r_i) dpsi/dn_i = -1, evaluated by
-    the same jump-relation quadrature that reports dn_psi.
-
-    The section is symmetric under z -> -z (`boundary_nodes` checks it), so
-    node n - j mirrors node j and the density and both traces are even in
-    it.  Only the rows of the independent nodes 0..n/2 are assembled;
-    column n - j is folded onto column j, and the circulation row weights
-    each node by its multiplicity (1 for nodes 0 and n/2, else 2).
-    """
-    if not np.isfinite(W):
-        raise ValueError("translation speed W must be finite")
+def _solve_affine(shape: CrossSection, resolution):
+    """One LU, two right-hand sides: the circulation column (rhs[m] = -1)
+    and the unit-W column (rhs[:m] = r^2/2).  Returns (bnd, cond, cols),
+    cols = (density, psi_trace, dn_psi, gamma), each with a last axis
+    [W = 0, per unit W], since the solution is affine in W."""
     bnd = _smooth_or_raise(shape, resolution)
     n = bnd.n_nodes
     half = n // 2
@@ -254,24 +245,48 @@ def solve_dirichlet(shape: CrossSection, W: float,
     sys[:m, :m] = S
     sys[:m, m] = -1.0
     sys[m, :m] = -0.5 * w + (w / r) @ A
-    rhs = np.zeros(m + 1)
-    rhs[:m] = 0.5 * W * r**2
-    rhs[m] = -1.0
+    rhs = np.zeros((m + 1, 2))
+    rhs[m, 0] = -1.0
+    rhs[:m, 1] = 0.5 * r**2
     sol, cond = _first_kind_solve(sys, rhs)
     phi = sol[:m]
-    gamma = sol[m]
 
-    dn_psi = -r * phi / 2.0 + A @ phi
-    psi_trace = S @ phi
+    dn_psi = -r[:, None] * phi / 2.0 + A @ phi
     mirror = np.minimum(np.arange(n), n - np.arange(n))
-    phi, dn_psi, psi_trace = phi[mirror], dn_psi[mirror], psi_trace[mirror]
+    return bnd, cond, (phi[mirror], (S @ phi)[mirror], dn_psi[mirror],
+                       sol[m])
+
+
+def _solution_at(shape, bnd, cond, cols, W: float) -> BoundarySolution:
+    phi, psi_trace, dn_psi, gamma = (c[..., 0] + W * c[..., 1] for c in cols)
     circulation = -float(np.sum(bnd.weights / bnd.r * dn_psi))
     return BoundarySolution(
         shape=shape, boundary=bnd, density=phi, psi_trace=psi_trace,
         dn_psi=dn_psi, W=float(W), gamma=float(gamma),
         circulation=circulation, condition_number=float(cond),
-        resolution=n,
+        resolution=bnd.n_nodes,
     )
+
+
+def solve_dirichlet(shape: CrossSection, W: float,
+                    resolution: int | None = None) -> BoundarySolution:
+    """Solve the exterior problem with data W r^2/2 + gamma on the boundary.
+
+    gamma is determined jointly with the density by appending the discrete
+    circulation constraint  sum w_i (1/r_i) dpsi/dn_i = -1, evaluated by
+    the same jump-relation quadrature that reports dn_psi.
+
+    The section is symmetric under z -> -z (`boundary_nodes` checks it), so
+    node n - j mirrors node j and the density and both traces are even in
+    it.  Only the rows of the independent nodes 0..n/2 are assembled;
+    column n - j is folded onto column j, and the circulation row weights
+    each node by its multiplicity (1 for nodes 0 and n/2, else 2).  The
+    factorization is solved for W = 0 and for unit W, and the solution is
+    their combination for the requested W.
+    """
+    if not np.isfinite(W):
+        raise ValueError("translation speed W must be finite")
+    return _solution_at(shape, *_solve_affine(shape, resolution), W)
 
 
 def evaluate_stream(sol_or_density, bnd: SmoothBoundary | None = None,
@@ -323,3 +338,44 @@ def dynamic_residual(shape: CrossSection, sol: BoundarySolution,
         lam=float(lam),
         we=float(we),
     )
+
+
+def optimal_W_lam(shape: CrossSection, we: float,
+                  resolution: int | None = None):
+    """(solution, W, lam): the W and lam >= 0 minimizing dyn_residual_l2 of
+    one shape, exactly, from one factorization (variable projection).
+
+    The surface flow a + W b is affine in W, so g = 2H - We flow^2 is
+    quadratic in W.  For fixed W the best lam is max(0, -<g>_w), <.>_w the
+    weighted boundary mean, and the squared residual sum w g^2 - (sum w)
+    lam^2 is a quartic in W on either side of the roots of <g>_w: its
+    minimum is among the real critical points of both quartics and those
+    roots.
+    """
+    if we <= 0:
+        raise ValueError("Weber number must be positive")
+    bnd, cond, cols = _solve_affine(shape, resolution)
+    w = bnd.weights
+    dn_psi = cols[2]
+    a = dn_psi[:, 0] / bnd.r
+    b = dn_psi[:, 1] / bnd.r - bnd.normal_r
+    # nodal coefficients of g in powers of W, lowest first
+    g = np.stack([2.0 * (bnd.curvature + bnd.normal_r / bnd.r) - we * a**2,
+                  -2.0 * we * a * b, -we * b**2])
+    mean = g @ w / np.sum(w)
+
+    def sq_norm(c):   # coefficients of sum w (c_0 + c_1 W + c_2 W^2)^2
+        out = np.zeros(5)
+        np.add.at(out, np.add.outer(range(3), range(3)), (c * w) @ c.T)
+        return out
+
+    cands = np.concatenate([
+        P.polyroots(P.polyder(sq_norm(g))),                   # lam = 0
+        P.polyroots(P.polyder(sq_norm(g - mean[:, None]))),   # lam > 0
+        P.polyroots(mean),
+    ]).real
+    G = g[0] + np.outer(cands, g[1]) + np.outer(cands**2, g[2])
+    lam = np.maximum(0.0, -(G @ w) / np.sum(w))
+    best = int(np.argmin((G + lam[:, None]) ** 2 @ w))
+    W = float(cands[best])
+    return _solution_at(shape, bnd, cond, cols, W), W, float(lam[best])

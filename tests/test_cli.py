@@ -108,6 +108,28 @@ def test_verify_lemmas_deterministic(tmp_path):
         assert suite["cases"] > 0
 
 
+def test_verify_lemmas_reports_outer_radius_violation(tmp_path,
+                                                     monkeypatch):
+    import dataclasses
+    from bubblering import geometry
+
+    real = geometry.geometry_report
+
+    def stretched(shape):
+        rep = real(shape)
+        return dataclasses.replace(rep, r_max=3.5 * rep.R)
+
+    monkeypatch.setattr(geometry, "geometry_report", stretched)
+    out = tmp_path / "lemmas.json"
+    assert main(["verify-lemmas", "--seed", "42", "--count", "3",
+                 "--out", str(out)]) == 2
+    report = json.loads(out.read_text())["report"]
+    assert not report["all_passed"]
+    suite = {s["name"]: s for s in report["suites"]}["outer-radius-ratio"]
+    assert not suite["passed"]
+    assert suite["worst_margin"] > 3.0
+
+
 def test_norbury_table_csv(tmp_path):
     out = tmp_path / "table.csv"
     assert main(["norbury-table", "--out", str(out)]) == 0

@@ -3,8 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bubblering.kernel import (
-    filament_stream,
-    filament_stream_gradient,
     gradient_split,
     kernel_split,
     ring_kernel,
@@ -75,7 +73,8 @@ def test_circulation_around_filament():
     z = src[1] + rho * np.sin(t)
     total = 0.0
     for ri, zi, ti in zip(r, z, t):
-        gr, gz = filament_stream_gradient(src, strength, (ri, zi))
+        gr, gz = ring_kernel_gradient(src, (ri, zi))
+        gr, gz = strength * gr, strength * gz
         # outward normal of the circle
         total += (gr * np.cos(ti) + gz * np.sin(ti)) / ri
     total *= rho * 2.0 * np.pi / len(t)
@@ -151,10 +150,3 @@ def test_gradient_split_diagonal_limits():
         + (nr / 2.0 - r * kap / 2.0) / (2 * np.pi),
         rtol=1e-12,
     )
-
-
-def test_filament_stream_linearity():
-    src = (1.2, -0.1)
-    tgt = (2.0, 0.5)
-    assert_allclose(filament_stream(src, 3.0, tgt),
-                    3.0 * ring_kernel(src, tgt), rtol=1e-15)

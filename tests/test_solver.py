@@ -240,3 +240,29 @@ def test_inverse_norm_estimate_against_exact():
             exact = np.max(np.sum(np.abs(np.linalg.inv(mat)), axis=0))
             est = solver._inverse_norm1(lu_factor(mat), n)
             assert exact / 3.0 <= est <= exact * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("shape, lam_positive", [
+    (Disk(R0=np.sqrt(8.0 / 3.0), rho0=np.sqrt(2.0)), True),
+    (Ellipse(R0=2.0, m=0.8, n=0.6), False),
+])
+def test_optimal_W_lam_matches_brute_force(shape, lam_positive):
+    from scipy.optimize import minimize
+
+    we, n = 1.0, 64
+    sol, W, lam = solver.optimal_W_lam(shape, we, n)
+    assert sol.W == W and abs(sol.circulation - 1.0) <= 1e-10
+    assert (lam > 0.0) == lam_positive
+    exact = dynamic_residual(shape, sol, we, lam).dyn_residual_l2
+
+    def residual(x):
+        trial = solve_dirichlet(shape, x[0], n)
+        return dynamic_residual(shape, trial, we, x[1]).dyn_residual_l2
+
+    brute = min(
+        minimize(residual, start, method="Nelder-Mead",
+                 bounds=((None, None), (0.0, None)),
+                 options={"xatol": 1e-12, "fatol": 1e-14,
+                          "maxfev": 2000}).fun
+        for start in [(-1.0, 0.0), (0.0, 1.0), (1.0, 0.5), (2.0, 0.0)])
+    assert abs(exact - brute) <= 1e-10 * brute
