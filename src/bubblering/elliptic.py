@@ -93,9 +93,11 @@ _SERIES_CUT = 0.35  # series in q below, direct AGM evaluation above
 
 
 def _polyval_ascending(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x) + coef[-1]
+    # Horner in place: the same roundings as out * x + c, no temporaries
+    out = np.full_like(x, coef[-1])
     for c in coef[-2::-1]:
-        out = out * x + c
+        out *= x
+        out += c
     return out
 
 

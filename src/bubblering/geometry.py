@@ -41,7 +41,6 @@ __all__ = [
     "outer_radius_ratio",
     "weber_number",
     "normalize",
-    "small_radius_delta_implication",
     "ellipse_inv_r2_integral",
     "disk_delta",
 ]
@@ -379,17 +378,6 @@ def normalize(shape: CrossSection, params: PhysicalParams):
     rep = geometry_report(shape)
     scaled = shape.scaled(1.0 / rep.a)
     return scaled, NormalizationFactors(a=rep.a)
-
-
-def small_radius_delta_implication(shape: CrossSection) -> bool:
-    """True iff (2 pi R^2 <= area) implies (delta >= 0) on this shape.
-
-    The implication is a theorem (double Cauchy-Schwarz), so this must
-    return True for every valid shape; it exists as a test oracle.
-    """
-    rep = geometry_report(shape)
-    hyp = 2.0 * np.pi * rep.R**2 <= rep.area
-    return (not hyp) or rep.delta >= -1e-10
 
 
 # ---------------------------------------------------------------------------

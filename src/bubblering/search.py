@@ -104,7 +104,8 @@ class FourierFamily(ShapeFamily):
 
     def make_shape(self, params) -> FourierStar:
         R0, base = float(params[0]), float(params[1])
-        coeffs = tuple(float(c) for c in params[2:])
+        # FourierStar numbers its coefficients from j = 1: c1 = 0
+        coeffs = (0.0, *(float(c) for c in params[2:]))
         if base <= 0:
             raise InvalidShapeError(f"fourier family needs base > 0, got {base}")
         raw = FourierStar(R0=R0, base=base, coeffs=coeffs)

@@ -15,8 +15,12 @@ from the conormal jump relation of the single layer, with the principal
 value handled by the same splitting.
 
 Assembly is one pass: the modulus, the elliptic log split and the log
-factor are computed once per point pair and give the rows of both the
-single-layer and the normal-derivative matrix.  `solve_dirichlet` uses the
+factor give the rows of both the single-layer and the normal-derivative
+matrix.  The factors that depend only on the modulus are evaluated once per
+orbit of the point pairs under reciprocity (i, j) <-> (j, i) and the mirror
+(i, j) <-> (n - i, n - j), about a quarter of all pairs, and gathered; the
+terms with the target normal are evaluated per pair.  The log quadrature
+weights and the orbit map are cached per n.  `solve_dirichlet` uses the
 z -> -z mirror symmetry of every section: it assembles only the rows of
 nodes 0..n/2, folds column n - j onto column j and solves the bordered
 system of n/2 + 1 densities plus gamma, then unfolds the results to all n
@@ -29,12 +33,13 @@ above MAX_CONDITION.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy.linalg import lu_factor, lu_solve
 
-from .kernel import _split_factors, ring_kernel
+from .kernel import _modulus, _modulus_factors, _split_factors, ring_kernel
 from .shapes import CrossSection, Polygon, SmoothBoundary, boundary_nodes
 
 __all__ = [
@@ -102,12 +107,14 @@ class ResidualReport:
         return asdict(self)
 
 
+@lru_cache(maxsize=8)
 def log_quadrature_weights(n_nodes: int) -> np.ndarray:
     """Weights R_d, d = |i - j|, of the spectral rule
 
         int_0^2pi ln(4 sin^2((t_i - s)/2)) f(s) ds ~ sum_j R_|i-j| f(t_j)
 
-    on the uniform grid t_j = 2 pi j / n (n even)."""
+    on the uniform grid t_j = 2 pi j / n (n even).  Cached per n; the
+    returned array is read-only."""
     if n_nodes % 2:
         raise ValueError("node count must be even")
     half = n_nodes // 2
@@ -117,7 +124,37 @@ def log_quadrature_weights(n_nodes: int) -> np.ndarray:
     R = -(4.0 * np.pi / n_nodes) * (
         np.cos(np.outer(t, m)) @ (1.0 / m) + ((-1.0) ** j) / (2.0 * half)
     )
+    R.flags.writeable = False
     return R
+
+
+@lru_cache(maxsize=8)
+def _pair_orbits(n: int, n_rows: int):
+    """Orbits of the node pairs under reciprocity (i, j) <-> (j, i) and the
+    mirror (i, j) <-> (n - i, n - j) mod n, which keep the modulus q (the
+    kernel is symmetric in its points, node n - i mirrors node i).
+
+    Representatives: (0, d) for 0 <= d <= n/2 and (a, a + d) for
+    1 <= a <= n/2, 0 <= d <= n - 2a, numbered in that order.  The pair
+    (i, j) has a = min(i, j, n - i, n - j) and d = |i - j| (min(d, n - d)
+    when a = 0).  Returns (ra, rb, idx, orbit): the representatives' node
+    indices and, for rows 0..n_rows-1 and all n columns, idx = |i - j| and
+    the number of each pair's representative.  Read-only, cached per
+    (n, n_rows).
+    """
+    half = n // 2
+    counts = np.concatenate([[half + 1], n + 1 - 2 * np.arange(1, half + 1)])
+    start = np.concatenate([[0], np.cumsum(counts[:-1])])
+    ra = np.repeat(np.arange(half + 1), counts)
+    rb = np.arange(ra.size) - start[ra] + ra
+    node = np.arange(n)
+    fold = np.minimum(node, n - node)
+    a = np.minimum(fold[:n_rows, None], fold[None, :])
+    idx = np.abs(node[:n_rows, None] - node[None, :])
+    orbit = np.where(a == 0, np.minimum(idx, n - idx), start[a] + idx)
+    for arr in (ra, rb, idx, orbit):
+        arr.flags.writeable = False
+    return ra, rb, idx, orbit
 
 
 def _log_factor(bnd: SmoothBoundary, q: np.ndarray, rows: np.ndarray,
@@ -132,17 +169,24 @@ def _log_factor(bnd: SmoothBoundary, q: np.ndarray, rows: np.ndarray,
     return np.log(ratio)
 
 
-def _assemble(bnd: SmoothBoundary, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Target rows `rows` (all n columns) of the single-layer matrix S and
-    the principal-value normal-derivative matrix A, from one pass over the
-    kernel factors: psi = S phi, dpsi/dn = -r phi / 2 + A phi."""
+def _assemble(bnd: SmoothBoundary,
+              n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Target rows 0..n_rows-1 (all n columns) of the single-layer matrix S
+    and the principal-value normal-derivative matrix A, from one pass over
+    the kernel factors: psi = S phi, dpsi/dn = -r phi / 2 + A phi.
+
+    The factors that depend only on the modulus, the elliptic ones, are
+    evaluated once per orbit of `_pair_orbits` and gathered; the terms
+    with the target normal are evaluated per pair."""
     n = bnd.n_nodes
-    rows = np.asarray(rows)
-    idx = np.abs(rows[:, None] - np.arange(n)[None, :])
+    rows = np.arange(n_rows)
+    ra, rb, idx, orbit = _pair_orbits(n, n_rows)
+    k, q, _, _ = _modulus(bnd.r[ra], bnd.z[ra], bnd.r[rb], bnd.z[rb])
+    factors = [f[orbit] for f in _modulus_factors(k, q)]
     _, q, _, FL, Freg, pref, AL, Areg = _split_factors(
         bnd.r[rows, None], bnd.z[rows, None], bnd.r, bnd.z,
         bnd.normal_r[rows, None], bnd.normal_z[rows, None],
-        kappa_diag=bnd.curvature[rows, None])
+        kappa_diag=bnd.curvature[rows, None], factors=factors)
     h = 2.0 * np.pi / n
     # log weights R_|i-j| plus the trapezoid on ln(q / 4 sin^2): both
     # kernels carry the same log factor
@@ -154,13 +198,13 @@ def _assemble(bnd: SmoothBoundary, rows) -> tuple[np.ndarray, np.ndarray]:
 
 def single_layer_matrix(bnd: SmoothBoundary) -> np.ndarray:
     """Matrix mapping nodal densities to psi at the nodes."""
-    return _assemble(bnd, np.arange(bnd.n_nodes))[0]
+    return _assemble(bnd, bnd.n_nodes)[0]
 
 
 def normal_derivative_matrix(bnd: SmoothBoundary) -> np.ndarray:
     """Matrix for the principal-value part of dpsi/dn on the exterior side;
     the full exterior derivative is  -r phi / 2 + (this matrix) phi."""
-    return _assemble(bnd, np.arange(bnd.n_nodes))[1]
+    return _assemble(bnd, bnd.n_nodes)[1]
 
 
 def _inverse_norm1(lu, n: int) -> float:
@@ -231,7 +275,7 @@ def _solve_affine(shape: CrossSection, resolution):
     half = n // 2
     m = half + 1
     rows = np.arange(m)
-    S, A = _assemble(bnd, rows)
+    S, A = _assemble(bnd, m)
     # fold column n - j onto column j, j = 1 .. n/2 - 1
     S = S[:, :m] + np.pad(S[:, :half:-1], ((0, 0), (1, 1)))
     A = A[:, :m] + np.pad(A[:, :half:-1], ((0, 0), (1, 1)))

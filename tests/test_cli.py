@@ -108,6 +108,29 @@ def test_verify_lemmas_deterministic(tmp_path):
         assert suite["cases"] > 0
 
 
+def test_solve_output_independent_of_cached_tables(tmp_path):
+    # the second in-process solve reuses the per-n log weights and pair
+    # orbits; a fresh process builds them anew
+    import os
+    import subprocess
+    import sys
+
+    import bubblering
+
+    shape = _write_shape(tmp_path, THICK_DISK)
+    outs = [tmp_path / f"{name}.json" for name in "abc"]
+    args = ["solve", "--shape", shape, "--we", "1.0", "--w", "0.1",
+            "--resolution", "128", "--out"]
+    assert main(args + [str(outs[0])]) == 0
+    assert main(args + [str(outs[1])]) == 0
+    src = os.path.dirname(os.path.dirname(bubblering.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-m", "bubblering.cli", *args,
+                    str(outs[2])], env=env, check=True)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].read_bytes() == outs[2].read_bytes()
+
+
 def test_verify_lemmas_reports_outer_radius_violation(tmp_path,
                                                      monkeypatch):
     import dataclasses

@@ -13,7 +13,6 @@ from bubblering.geometry import (
     surface_set_length,
     weber_number,
     width_height,
-    small_radius_delta_implication,
 )
 from bubblering.shapes import (
     Disk,
@@ -165,6 +164,17 @@ def test_normalize_rescales_to_unit_length_scale():
     assert_allclose(rep.delta, rep0.delta, rtol=1e-9)
     assert_allclose(rep.mu, rep0.mu, rtol=1e-12)
     assert_allclose(factors.a, rep0.a, rtol=1e-12)
+
+
+def small_radius_delta_implication(shape) -> bool:
+    """True iff (2 pi R^2 <= area) implies (delta >= 0) on this shape.
+
+    The implication is a theorem (double Cauchy-Schwarz), so this must
+    return True for every valid shape.
+    """
+    rep = geometry_report(shape)
+    hyp = 2.0 * np.pi * rep.R**2 <= rep.area
+    return (not hyp) or rep.delta >= -1e-10
 
 
 def test_small_radius_delta_implication_random():

@@ -16,11 +16,19 @@ from bubblering.shapes import InvalidShapeError
 def test_families_produce_normalized_shapes():
     cases = [(fam, fam.initial)
              for fam in [ThickDiskFamily(), EllipseFamily(), FourierFamily()]]
-    cases.append((FourierFamily(), (2.0, 1.0, 0.15, -0.08)))
+    cases.append((FourierFamily(), (2.0, 1.0, 0.05, -0.02)))
     for fam, params in cases:
         shape = fam.make_shape(params)
         rep = geometry_report(shape)
         assert_allclose(rep.area, 2.0 * np.pi, rtol=1e-9)
+
+
+def test_fourier_family_c2_multiplies_cos_2t():
+    # rho = base + c2 cos 2t is even about t = pi/2: rho(0) = rho(pi); a
+    # coefficient on cos t would make the section lopsided in r instead
+    shape = FourierFamily().make_shape((2.0, 1.0, 0.1, 0.0))
+    (r0, r_pi), _ = shape.point(np.array([0.0, np.pi]))
+    assert_allclose(r0 - shape.R0, shape.R0 - r_pi, rtol=1e-14)
 
 
 def test_family_admissibility():

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bubblering import solver
-from bubblering.kernel import ring_kernel, ring_kernel_gradient
+from bubblering.kernel import (gradient_split, kernel_split, ring_kernel,
+                               ring_kernel_gradient)
 from bubblering.shapes import (Disk, Ellipse, FourierStar, Polygon,
                                boundary_nodes)
 from bubblering.solver import (
@@ -34,6 +35,9 @@ def test_log_weights_reproduce_fourier_integrals():
     for m in [1, 2, 5, 17]:
         assert_allclose(np.sum(R * np.cos(m * t)), -2.0 * np.pi / m,
                         atol=1e-13)
+    # the weights are cached per n: no caller may write into them
+    with pytest.raises(ValueError):
+        R[0] = 0.0
 
 
 def test_manufactured_exterior_reconstruction():
@@ -200,13 +204,16 @@ def _full_system_solve(shape, W, n):
 _NEAR_AXIS = Disk(R0=np.sqrt(2.0) / (1.0 - 1e-2), rho0=np.sqrt(2.0))
 
 
-@pytest.mark.parametrize("n", [128, 512])
-@pytest.mark.parametrize("shape", [
+_FOLD_SHAPES = pytest.mark.parametrize("shape", [
     Disk(R0=1.55, rho0=np.sqrt(2.0)),
     Ellipse(R0=2.0, m=0.8, n=0.6),
     FourierStar(R0=3.0, base=1.0, coeffs=(0.1, -0.05, 0.02)),
     _NEAR_AXIS,
 ], ids=["disk", "ellipse", "fourier-star", "near-axis-disk"])
+
+
+@pytest.mark.parametrize("n", [128, 512])
+@_FOLD_SHAPES
 def test_folded_solve_matches_full_system(shape, n):
     W = 0.3
     sol = solve_dirichlet(shape, W, n)
@@ -217,6 +224,32 @@ def test_folded_solve_matches_full_system(shape, n):
         rel = np.max(np.abs(got - ref[name])) / np.max(np.abs(ref[name]))
         assert rel <= 1e-10, name
     assert abs(sol.gamma - ref["gamma"]) <= 1e-10 * abs(ref["gamma"])
+
+
+@pytest.mark.parametrize("n", [128, 512])
+@_FOLD_SHAPES
+def test_assembly_matches_per_pair_kernels(shape, n):
+    # the assembly evaluates the elliptic factors once per reciprocal or
+    # mirror orbit of the point pairs; the reference evaluates the split
+    # kernels on every pair of rows 0..n/2, with the same log quadrature
+    bnd = boundary_nodes(shape, n)
+    m = n // 2 + 1
+    rows = np.arange(m)
+    idx = np.abs(rows[:, None] - np.arange(n)[None, :])
+    tgt = (bnd.r[:m, None], bnd.z[:m, None], bnd.r, bnd.z)
+    _, q, FL, Freg, pref = kernel_split(*tgt)
+    _, _, AL, Areg = gradient_split(*tgt, bnd.normal_r[:m, None],
+                                    bnd.normal_z[:m, None],
+                                    kappa_diag=bnd.curvature[:m, None])
+    h = 2.0 * np.pi / n
+    Rlog = (log_quadrature_weights(n)[idx]
+            + h * solver._log_factor(bnd, q, rows, idx))
+    S_ref = (h * Freg - Rlog * FL) * (pref * bnd.speed)
+    A_ref = (h * Areg - Rlog * AL) * bnd.speed
+    S, A = solver._assemble(bnd, m)
+    for got, ref in [(S, S_ref), (A, A_ref)]:
+        assert got.shape == (m, n)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_condition_gate_refuses_solves(monkeypatch):
