@@ -17,9 +17,9 @@ gives  We >= term_curvature + term_bernoulli.  Two variants are reported:
   Delta R <= 3R, pi <= h Delta R), giving
       term_curvature = 2 b* pi^2 / (27 R^3)
       term_bernoulli = 4 pi^2 delta_+ / (3R (4 pi + 18 R^2))
-* measured: r_max, |S(b*)|, h, Delta R taken from the shape itself, giving
-  the sharper  u^2 = 2 b* S(b*)^2 / r_max  and
-  v^2 = 4 delta_+ h^2 / (4h + 2 Delta R).
+* measured: r_max, h and Delta R = r_max - r_min taken from the geometry
+  report, and |S(b*)| measured on the shape itself, giving the sharper
+  u^2 = 2 b* S(b*)^2 / r_max  and  v^2 = 4 delta_+ h^2 / (4h + 2 Delta R).
 
 The full derivation of every constant is in docs/BOUND_DERIVATION.md; the
 chain-soundness property tests check each intermediate inequality on random
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryReport, geometry_report, width_height, surface_set_length, disk_delta
+from .geometry import GeometryReport, surface_set_length, disk_delta
 from .shapes import CrossSection, Disk
 
 __all__ = [
@@ -99,21 +99,23 @@ class BoundCertificate:
         }
 
 
-def _b_star(R: float) -> tuple[float, str]:
+def _universal_terms(R: float, delta: float) -> tuple[float, str, float, float]:
+    """(b*, branch, u^2, v^2) of the universal certificate."""
     if R > _BRANCH_SPLIT:
-        return np.pi / (36.0 * R * R), "large-R"
-    return 0.5, "small-R"
+        b, branch = np.pi / (36.0 * R * R), "large-R"
+    else:
+        b, branch = 0.5, "small-R"
+    u2 = 2.0 * b * np.pi**2 / (27.0 * R**3)
+    dplus = max(delta, 0.0)
+    v2 = 4.0 * np.pi**2 * dplus / (3.0 * R * (4.0 * np.pi + 18.0 * R * R))
+    return b, branch, u2, v2
 
 
 def universal_bound(mu: float, delta: float) -> float:
     """Shape-free lower bound from (mu, delta) alone (normalized units)."""
     if mu <= 0:
         raise ValueError("mu must be positive")
-    R = mu
-    b, _ = _b_star(R)
-    u2 = 2.0 * b * np.pi**2 / (27.0 * R**3)
-    dplus = max(delta, 0.0)
-    v2 = 4.0 * np.pi**2 * dplus / (3.0 * R * (4.0 * np.pi + 18.0 * R * R))
+    _, _, u2, v2 = _universal_terms(mu, delta)
     return u2 + v2
 
 
@@ -121,8 +123,9 @@ def explicit_bound(report: GeometryReport,
                    shape: CrossSection | None = None) -> BoundCertificate:
     """Certificate from a normalized geometry report.
 
-    If the originating shape is supplied, the sharper measured variant
-    (actual r_max, |S(b*)|, h, Delta R) is computed as well.
+    If the originating shape is supplied, the sharper measured variant is
+    computed as well: r_max, h and Delta R = r_max - r_min come from the
+    report, and the shape supplies only |S(b*)|.
     """
     if abs(report.area - 2.0 * np.pi) > NORMALIZATION_TOL:
         raise ValueError(
@@ -130,17 +133,14 @@ def explicit_bound(report: GeometryReport,
             f"got area {report.area!r} — call geometry.normalize first")
     R = report.R
     delta = report.delta
-    b, branch = _b_star(R)
-    u2 = 2.0 * b * np.pi**2 / (27.0 * R**3)
-    dplus = max(delta, 0.0)
-    v2 = 4.0 * np.pi**2 * dplus / (3.0 * R * (4.0 * np.pi + 18.0 * R * R))
+    b, branch, u2, v2 = _universal_terms(R, delta)
 
     u2m = v2m = wem = None
     if shape is not None:
         s_b = surface_set_length(shape, b)
-        _, _, h, dR = width_height(shape)
+        h, dR = report.height_h, report.r_max - report.r_min
         u2m = 2.0 * b * s_b**2 / report.r_max
-        v2m = 4.0 * dplus * h**2 / (4.0 * h + 2.0 * dR)
+        v2m = 4.0 * max(delta, 0.0) * h**2 / (4.0 * h + 2.0 * dR)
         wem = u2m + v2m
 
     return BoundCertificate(

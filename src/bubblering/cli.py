@@ -25,12 +25,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .shapes import (InvalidShapeError, Polygon, load_shape,
+from .shapes import (Ellipse, InvalidShapeError, boundary_nodes, load_shape,
                      random_convex_polygon, random_smooth_shape,
                      shape_to_dict)
 from .geometry import (PhysicalParams, QuadratureError, geometry_report,
                        outer_radius_ratio, normalize, surface_set_length,
-                       width_height, ellipse_inv_r2_integral)
+                       ellipse_inv_r2_integral)
 from .solver import SolverError, dynamic_residual, solve_dirichlet
 from .search import residual_minimize, family_from_name
 from .certify import explicit_bound, norbury_scaling_probe, verdict
@@ -55,11 +55,11 @@ def _payload(args, report: dict, resolution) -> dict:
     }
 
 
-def _emit(args, payload) -> None:
-    if getattr(args, "format", "json") == "csv":
-        text = payload  # csv commands pass preformatted text
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(args, payload: dict) -> None:
+    _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -146,7 +146,6 @@ def _suite_rows(seed: int, count: int):
         m = rng.uniform(0.3, 2.0)
         n = rng.uniform(0.3, 2.0)
         R0 = m + rng.uniform(0.05, 3.0)
-        from .shapes import Ellipse
         rep = geometry_report(Ellipse(R0=R0, m=m, n=n))
         exact = ellipse_inv_r2_integral(R0, m, n)
         worst = max(worst, abs(rep.delta + 2 * np.pi - exact) / exact)
@@ -163,7 +162,6 @@ def _suite_rows(seed: int, count: int):
     worst = 0.0
     for _ in range(count):
         shape = random_smooth_shape(rng)
-        from .shapes import boundary_nodes
         bnd = boundary_nodes(shape)
         total = float(np.sum(bnd.curvature * bnd.weights))
         worst = max(worst, abs(total - 2 * np.pi))
@@ -186,7 +184,7 @@ def _suite_rows(seed: int, count: int):
         scaled, _ = _normalized(shape)
         rep = geometry_report(scaled)
         R = rep.R
-        _, _, h, dR = width_height(scaled)
+        h, dR = rep.height_h, rep.r_max - rep.r_min
         b = np.pi / (36 * R * R) if R > np.sqrt(np.pi) / 6 else 0.5
         checks = [
             2 * h - 2 * np.pi / (3 * R),
@@ -237,8 +235,7 @@ def cmd_norbury_table(args) -> int:
         writer.writerow([f"{row[k]:.12g}" for k in
                          ("eps_over_R0", "delta", "delta_scaled", "mu",
                           "we_min")])
-    args.format = "csv"
-    _emit(args, buf.getvalue())
+    _write(args, buf.getvalue())
     return EXIT_OK
 
 
@@ -256,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=200)
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--resolution", type=int, default=resolution)
 
     p = sub.add_parser("analyze", help="geometry report")

@@ -65,10 +65,6 @@ _A, _D = _series_data()
 # RK(q) = sum A[m] d[m] q^m
 _RK_COEF = _A * _D
 
-# Coefficients of (pi/2)^-1 K(k') and E(k') as power series in q: K(k') uses
-# _A, E(k') uses _A[m] * (-1/(2m-1)).
-_EC_COEF = _A * np.array([-1.0 / (2 * m - 1) for m in range(_NSER)])
-
 # RE(q) = q RK + (2/pi)(1-q) K(k') - 2 q (1-q) RK'(q), assembled termwise.
 _RE_COEF = np.zeros(_NSER)
 for _m in range(_NSER):

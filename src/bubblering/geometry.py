@@ -21,9 +21,7 @@ from scipy.optimize import brentq
 
 from .shapes import (
     CrossSection,
-    Disk,
     Ellipse,
-    InvalidShapeError,
     Polygon,
     PolygonBoundary,
     SmoothBoundary,
@@ -156,10 +154,17 @@ def _extremum(fun, dfun, t_nodes, values, maximize: bool) -> float:
     return float(fun(ts))
 
 
-def _smooth_extrema(shape) -> tuple[float, float, float]:
-    """(r_max, r_min, h) of a smooth shape, refined beyond the grid."""
+def _extrema(shape: CrossSection) -> tuple[float, float, float]:
+    """(r_max, r_min, h) of a cross-section: vertex extremes of a polygon,
+    the closed form of an ellipse, else a grid search refined beyond the
+    grid."""
+    if isinstance(shape, Polygon):
+        v = np.asarray(shape.vertices, dtype=float)
+        return (float(np.max(v[:, 0])), float(np.min(v[:, 0])),
+                float(np.max(np.abs(v[:, 1]))))
     if isinstance(shape, Ellipse):
-        return shape.R0 + shape.m, shape.R0 - shape.m, shape.n
+        return (float(shape.R0 + shape.m), float(shape.R0 - shape.m),
+                float(shape.n))
     t = 2.0 * np.pi * np.arange(2048) / 2048
 
     def r_of(tt):
@@ -184,13 +189,13 @@ def _smooth_extrema(shape) -> tuple[float, float, float]:
     return r_max, r_min, h
 
 
-def _report_from_integrals(ints: dict, extrema, resolution: int,
+def _report_from_integrals(ints: dict, shape: CrossSection, resolution: int,
                            quad_error: float) -> GeometryReport:
     area = ints["area"]
     R = ints["first_moment"] / area
     a = np.sqrt(area / (2.0 * np.pi))
     delta = ints["inv_r2"] - 2.0 * np.pi
-    r_max, r_min, h = extrema
+    r_max, r_min, h = _extrema(shape)
     return GeometryReport(
         area=area,
         R=R,
@@ -198,9 +203,9 @@ def _report_from_integrals(ints: dict, extrema, resolution: int,
         mu=float(R / a),
         delta=delta,
         total_mean_curvature=ints["total_mean_curvature"],
-        r_max=float(r_max),
-        r_min=float(r_min),
-        height_h=float(h),
+        r_max=r_max,
+        r_min=r_min,
+        height_h=h,
         perimeter=ints["perimeter"],
         is_thick=bool(delta >= -1e-12),
         quad_error=quad_error,
@@ -215,23 +220,16 @@ def geometry_report(shape: CrossSection) -> GeometryReport:
     agree to 1e-9 relative (capped at 8192); polygons are exact.
     """
     if isinstance(shape, Polygon):
-        bnd = boundary_nodes(shape)
-        ints = _polygon_integrals(bnd)
-        v = bnd.vertices
-        extrema = (
-            float(np.max(v[:, 0])),
-            float(np.min(v[:, 0])),
-            float(np.max(np.abs(v[:, 1]))),
-        )
-        return _report_from_integrals(ints, extrema, len(shape.vertices), 0.0)
+        ints = _polygon_integrals(boundary_nodes(shape))
+        return _report_from_integrals(ints, shape, len(shape.vertices), 0.0)
 
     n = shape.resolution
     prev = None
     while True:
         ints = _smooth_integrals(boundary_nodes(shape, n))
-        scale = max(1.0, abs(ints["inv_r2"]))
         if prev is not None:
-            err = abs(ints["inv_r2"] - prev["inv_r2"]) / scale
+            err = (abs(ints["inv_r2"] - prev["inv_r2"])
+                   / max(1.0, abs(ints["inv_r2"])))
             if err <= _DELTA_RTOL:
                 break
             if 2 * n > MAX_RESOLUTION:
@@ -243,53 +241,17 @@ def geometry_report(shape: CrossSection) -> GeometryReport:
                 break
         prev = ints
         n *= 2
-    err_est = abs(ints["inv_r2"] - prev["inv_r2"]) / scale if prev is not None else 0.0
-    return _report_from_integrals(ints, _smooth_extrema(shape), n, err_est)
+    return _report_from_integrals(ints, shape, n, err)
 
 
 # ---------------------------------------------------------------------------
-# width profile, surface sets, centroid ratio
+# extents, surface sets, centroid ratio
 
-def width_height(shape: CrossSection):
-    """Width profile w(z) = r_outer(z) - r_inner(z), max height h, and
-    the radial extent delta_R = r_max - r_min."""
-    if isinstance(shape, Polygon):
-        bnd = boundary_nodes(shape)
-        v = bnd.vertices
-        h = float(np.max(np.abs(v[:, 1])))
-        r_max, r_min = float(np.max(v[:, 0])), float(np.min(v[:, 0]))
-        zs = np.unique(np.abs(v[:, 1]))
-        zs = zs[zs < h]
-        widths = np.array([_polygon_width(v, zz) for zz in zs])
-        return zs, widths, h, r_max - r_min
-
-    bnd = boundary_nodes(shape)
-    r_max, r_min, h = _smooth_extrema(shape)
-    right = bnd.normal_r > 0
-    left = ~right
-    zr = bnd.z[right]
-    rr = bnd.r[right]
-    order = np.argsort(zr)
-    zr, rr = zr[order], rr[order]
-    zl = bnd.z[left]
-    rl = bnd.r[left]
-    order = np.argsort(zl)
-    zl, rl = zl[order], rl[order]
-    zs = zr[(zr > zl.min()) & (zr < zl.max())]
-    widths = np.interp(zs, zr, rr) - np.interp(zs, zl, rl)
-    return zs, np.maximum(widths, 0.0), h, r_max - r_min
-
-
-def _polygon_width(v: np.ndarray, z: float) -> float:
-    rs = []
-    n = len(v)
-    for i in range(n):
-        (r1, z1), (r2, z2) = v[i], v[(i + 1) % n]
-        if (z1 - z) * (z2 - z) <= 0 and z1 != z2:
-            rs.append(r1 + (z - z1) / (z2 - z1) * (r2 - r1))
-        if z1 == z:
-            rs.append(r1)
-    return max(rs) - min(rs) if rs else 0.0
+def width_height(shape: CrossSection) -> tuple[float, float]:
+    """Half height h and radial extent r_max - r_min, the same values
+    `geometry_report` records as height_h, r_max and r_min."""
+    r_max, r_min, h = _extrema(shape)
+    return h, r_max - r_min
 
 
 def surface_set_length(shape: CrossSection, b: float) -> float:
@@ -316,16 +278,15 @@ def surface_set_length(shape: CrossSection, b: float) -> float:
         return np.hypot(dr, dz)
 
     f = bnd.normal_r - b
-    n = bnd.n_nodes
+    dt = 2.0 * np.pi / bnd.n_nodes
     crossings = []
-    for i in range(n):
-        j = (i + 1) % n
-        if f[i] == 0.0 or (f[i] > 0) != (f[j] > 0):
-            t0, t1 = bnd.t[i], bnd.t[i] + 2.0 * np.pi / n
-            if nr_minus_b(t0) == 0.0:
-                crossings.append(t0)
-            else:
-                crossings.append(brentq(nr_minus_b, t0, t1, xtol=1e-14))
+    # node i brackets a crossing if f vanishes there or changes sign by i+1
+    for i in np.flatnonzero((f == 0) | ((f > 0) != (np.roll(f, -1) > 0))):
+        t0 = bnd.t[i]
+        if nr_minus_b(t0) == 0.0:
+            crossings.append(t0)
+        else:
+            crossings.append(brentq(nr_minus_b, t0, t0 + dt, xtol=1e-14))
     if not crossings:
         return bnd.perimeter if f[0] > 0 else 0.0
     total = 0.0

@@ -47,10 +47,6 @@ class InvalidShapeError(ValueError):
 class CrossSection:
     resolution: int = DEFAULT_RESOLUTION
 
-    @property
-    def is_smooth(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class Ellipse(CrossSection):
@@ -161,10 +157,6 @@ class Polygon(CrossSection):
             tuple((float(r), float(z)) for r, z in self.vertices),
         )
 
-    @property
-    def is_smooth(self) -> bool:
-        return False
-
     def validate(self) -> None:
         if len(self.vertices) < 3:
             raise InvalidShapeError("polygon needs at least 3 vertices")
@@ -187,8 +179,6 @@ class SmoothBoundary:
     t: np.ndarray
     r: np.ndarray
     z: np.ndarray
-    dr: np.ndarray
-    dz: np.ndarray
     speed: np.ndarray
     normal_r: np.ndarray
     normal_z: np.ndarray
@@ -235,7 +225,7 @@ def _smooth_boundary(shape, n: int) -> SmoothBoundary:
     kappa = (dr * ddz - dz * ddr) / speed**3
     weights = speed * (2.0 * np.pi / n)
     return SmoothBoundary(
-        t=t, r=r, z=z, dr=dr, dz=dz, speed=speed,
+        t=t, r=r, z=z, speed=speed,
         normal_r=nr, normal_z=nz, curvature=kappa, weights=weights,
     )
 

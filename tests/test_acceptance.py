@@ -111,7 +111,7 @@ def test_05_proof_chain_soundness():
             scaled = _normalized(random_smooth_shape(rng))
             rep = geometry_report(scaled)
             R = rep.R
-            _, _, h, dR = width_height(scaled)
+            h, dR = width_height(scaled)
             b = np.pi / (36 * R * R) if R > np.sqrt(np.pi) / 6 else 0.5
             assert 2 * h >= 2 * np.pi / (3 * R)
             assert surface_set_length(scaled, b) >= np.pi / (3 * R)

@@ -36,6 +36,17 @@ def test_analyze_reference_ellipse(tmp_path):
     assert payload["resolution"] is not None
 
 
+def test_format_flag_is_rejected(tmp_path):
+    # --format is not an option: argparse exits 2 before any output is opened
+    shape = _write_shape(tmp_path, THICK_DISK)
+    out = tmp_path / "a.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--shape", shape, "--format", "csv",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_bound_verdict_ruled_out(tmp_path):
     shape = _write_shape(tmp_path, THICK_DISK)
     out = tmp_path / "cert.json"

@@ -138,11 +138,21 @@ def test_surface_set_length_disk():
                     rtol=1e-9)
 
 
-def test_width_height_disk():
-    zs, widths, h, dR = width_height(Disk(R0=2.0, rho0=0.7))
-    assert_allclose(h, 0.7, rtol=1e-10)
-    assert_allclose(dR, 1.4, rtol=1e-10)
-    assert_allclose(np.max(widths), 1.4, rtol=1e-3)
+@pytest.mark.parametrize("shape", [
+    Disk(R0=2.0, rho0=0.7),
+    Ellipse(R0=3.0, m=1.2, n=0.6),
+    FourierStar(R0=3.0, base=1.0, coeffs=(0.0, 0.05, -0.02)),
+    Polygon(vertices=((1.0, -0.5), (2.0, -0.8), (2.5, 0.0), (2.0, 0.8),
+                      (1.0, 0.5))),
+], ids=["disk", "ellipse", "fourier", "polygon"])
+def test_width_height_disk(shape):
+    # the certificate reads h and Delta R from the report: the same values
+    rep = geometry_report(shape)
+    h, dR = width_height(shape)
+    assert (h, dR) == (rep.height_h, rep.r_max - rep.r_min)
+    if isinstance(shape, Disk):
+        assert_allclose(h, 0.7, rtol=1e-10)
+        assert_allclose(dR, 1.4, rtol=1e-10)
 
 
 def test_weber_number_scaling():
