@@ -9,8 +9,10 @@ search         residual minimization over a shape family (JSON + CSV log)
 verify-lemmas  seeded property suites with counts and worst margins (JSON)
 norbury-table  certificate scaling along the near-axis disk family (CSV)
 
-Exit codes: 0 success, 2 validation error, 3 solver failure.  Every output
-embeds the invoking config, seed, resolution and library version; identical
+Each subcommand takes only the flags it reads, plus --out; any other flag
+is a usage error.  Exit codes: 0 success, 2 validation or usage error,
+3 solver failure.  Every output embeds the invoking config (exactly the
+flags the command read), seed, resolution and library version; identical
 configs produce byte-identical files.
 """
 
@@ -25,15 +27,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .shapes import (Ellipse, InvalidShapeError, boundary_nodes, load_shape,
-                     random_convex_polygon, random_smooth_shape,
-                     shape_to_dict)
+from .shapes import (DEFAULT_RESOLUTION, Ellipse, InvalidShapeError,
+                     boundary_nodes, load_shape, random_convex_polygon,
+                     random_smooth_shape, shape_to_dict)
 from .geometry import (PhysicalParams, QuadratureError, geometry_report,
                        outer_radius_ratio, normalize, surface_set_length,
                        ellipse_inv_r2_integral)
 from .solver import SolverError, dynamic_residual, solve_dirichlet
-from .search import residual_minimize, family_from_name
-from .certify import explicit_bound, norbury_scaling_probe, verdict
+from .search import SEARCH_RESOLUTION, residual_minimize, family_from_name
+from .certify import (_universal_terms, explicit_bound, norbury_scaling_probe,
+                      verdict)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -74,9 +77,7 @@ def _load(args):
 
 
 def _normalized(shape):
-    scaled, factors = normalize(shape, PhysicalParams(rho=1.0, sigma=1.0,
-                                                      beta=1.0))
-    return scaled, factors
+    return normalize(shape, PhysicalParams(rho=1.0, sigma=1.0, beta=1.0))
 
 
 def cmd_analyze(args) -> int:
@@ -88,11 +89,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_bound(args) -> int:
     shape = _load(args)
-    scaled, factors = _normalized(shape)
+    scaled, a = _normalized(shape)
     rep = geometry_report(scaled)
     cert = explicit_bound(rep, shape=scaled)
     out = cert.to_dict()
-    out["scale_factor_a"] = factors.a
+    out["scale_factor_a"] = a
     out["is_thick"] = rep.is_thick
     if args.we is not None:
         out["we"] = args.we
@@ -185,7 +186,7 @@ def _suite_rows(seed: int, count: int):
         rep = geometry_report(scaled)
         R = rep.R
         h, dR = rep.height_h, rep.r_max - rep.r_min
-        b = np.pi / (36 * R * R) if R > np.sqrt(np.pi) / 6 else 0.5
+        b = _universal_terms(R, rep.delta)[0]
         checks = [
             2 * h - 2 * np.pi / (3 * R),
             surface_set_length(scaled, b) - np.pi / (3 * R),
@@ -228,7 +229,7 @@ def cmd_norbury_table(args) -> int:
     eps = [10.0 ** (-p / 2.0) for p in range(2, 9)]
     rows = norbury_scaling_probe(1.0, eps)
     buf = io.StringIO()
-    buf.write(f"# version={__version__} seed={args.seed} units={_UNITS}\n")
+    buf.write(f"# version={__version__} units={_UNITS}\n")
     writer = csv.writer(buf)
     writer.writerow(["eps_over_R0", "delta", "delta_scaled", "mu", "we_min"])
     for row in rows:
@@ -239,6 +240,21 @@ def cmd_norbury_table(args) -> int:
     return EXIT_OK
 
 
+# every flag a subcommand may read; each subcommand names its own in
+# build_parser, and --out is common to all
+_FLAGS = {
+    "--shape": dict(help="shape JSON file (search: family:<name>)"),
+    "--we": dict(type=float, help="Weber number"),
+    "--seed": dict(type=int, default=0),
+    "--budget": dict(type=int, default=200),
+    "--resolution": dict(type=int, help="boundary nodes n of each solve"),
+    "--w": dict(type=float, default=0.0, help="translation speed"),
+    "--lam": dict(type=float, default=0.0,
+                  help="Lagrange multiplier in the dynamic condition"),
+    "--count": dict(type=int, default=25, help="cases per suite"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bubblering",
@@ -247,43 +263,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, resolution=512):
-        p.add_argument("--shape", help="shape JSON file (or family:<name>)")
-        p.add_argument("--we", type=float, help="Weber number")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=200)
+    def add(name, func, help, *flags, **defaults):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--resolution", type=int, default=resolution)
+        p.set_defaults(func=func, **defaults)
 
-    p = sub.add_parser("analyze", help="geometry report")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("bound", help="low-Weber certificate")
-    common(p)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("solve", help="stream solve + residual")
-    common(p)
-    p.add_argument("--w", type=float, default=0.0, help="translation speed")
-    p.add_argument("--lam", type=float, default=0.0,
-                   help="Lagrange multiplier in the dynamic condition")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("search", help="residual minimization over a family")
-    common(p, resolution=128)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("verify-lemmas", help="seeded property suites")
-    common(p)
-    p.add_argument("--count", type=int, default=25,
-                   help="cases per suite")
-    p.set_defaults(func=cmd_verify_lemmas)
-
-    p = sub.add_parser("norbury-table", help="near-axis scaling table")
-    common(p)
-    p.set_defaults(func=cmd_norbury_table)
-
+    add("analyze", cmd_analyze, "geometry report", "--shape")
+    add("bound", cmd_bound, "low-Weber certificate", "--shape", "--we")
+    add("solve", cmd_solve, "stream solve + residual", "--shape", "--we",
+        "--resolution", "--w", "--lam", resolution=DEFAULT_RESOLUTION)
+    add("search", cmd_search, "residual minimization over a family",
+        "--shape", "--we", "--seed", "--budget", "--resolution",
+        resolution=SEARCH_RESOLUTION)
+    add("verify-lemmas", cmd_verify_lemmas, "seeded property suites",
+        "--seed", "--count")
+    add("norbury-table", cmd_norbury_table, "near-axis scaling table")
     return parser
 
 

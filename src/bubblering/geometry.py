@@ -26,6 +26,7 @@ from .shapes import (
     PolygonBoundary,
     SmoothBoundary,
     boundary_nodes,
+    DEFAULT_RESOLUTION,
     MAX_RESOLUTION,
 )
 
@@ -216,14 +217,15 @@ def _report_from_integrals(ints: dict, shape: CrossSection, resolution: int,
 def geometry_report(shape: CrossSection) -> GeometryReport:
     """All scalar functionals of a cross-section.
 
-    Smooth kinds double the node count until two successive delta values
-    agree to 1e-9 relative (capped at 8192); polygons are exact.
+    Smooth kinds double the node count from DEFAULT_RESOLUTION until two
+    successive delta values agree to 1e-9 relative (capped at 8192);
+    polygons are exact.
     """
     if isinstance(shape, Polygon):
         ints = _polygon_integrals(boundary_nodes(shape))
         return _report_from_integrals(ints, shape, len(shape.vertices), 0.0)
 
-    n = shape.resolution
+    n = DEFAULT_RESOLUTION
     prev = None
     while True:
         ints = _smooth_integrals(boundary_nodes(shape, n))
@@ -267,7 +269,7 @@ def surface_set_length(shape: CrossSection, b: float) -> float:
         bnd = boundary_nodes(shape)
         return float(np.sum(bnd.edge_lengths[bnd.edge_normal_r > b]))
 
-    bnd = boundary_nodes(shape, max(shape.resolution, 1024))
+    bnd = boundary_nodes(shape, 1024)
 
     def nr_minus_b(t):
         (dr, dz), _ = shape.derivs(np.asarray(t))
@@ -324,21 +326,14 @@ def weber_number(params: PhysicalParams, area: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class NormalizationFactors:
-    """The length scale a = sqrt(|E| / 2 pi) removed by `normalize`."""
-
-    a: float
-
-
 def normalize(shape: CrossSection, params: PhysicalParams):
-    """Rescale the shape to area 2 pi (so a = 1) and return the length
-    scale a that was divided out.  delta and mu are scale invariant.
+    """(scaled, a): the shape rescaled to area 2 pi (so a = 1) and the
+    length scale a = sqrt(|E| / 2 pi) that was divided out.  delta and mu
+    are scale invariant.
 
     The scale depends on the shape alone; `params` does not enter it."""
     rep = geometry_report(shape)
-    scaled = shape.scaled(1.0 / rep.a)
-    return scaled, NormalizationFactors(a=rep.a)
+    return shape.scaled(1.0 / rep.a), rep.a
 
 
 # ---------------------------------------------------------------------------

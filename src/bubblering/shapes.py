@@ -9,7 +9,7 @@ polygons carry exact per-edge data instead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +45,7 @@ class InvalidShapeError(ValueError):
 
 @dataclass(frozen=True)
 class CrossSection:
-    resolution: int = DEFAULT_RESOLUTION
+    """Base of the shape kinds; callers choose the node count."""
 
 
 @dataclass(frozen=True)
@@ -81,17 +81,15 @@ class Ellipse(CrossSection):
 class Disk(Ellipse):
     """Disk of radius rho0 centered at (R0, 0)."""
 
-    def __init__(self, R0: float = 2.0, rho0: float = 1.0,
-                 resolution: int = DEFAULT_RESOLUTION):
-        Ellipse.__init__(self, resolution=resolution, R0=R0, m=rho0, n=rho0)
+    def __init__(self, R0: float = 2.0, rho0: float = 1.0):
+        Ellipse.__init__(self, R0=R0, m=rho0, n=rho0)
 
     @property
     def rho0(self) -> float:
         return self.m
 
     def scaled(self, factor: float) -> "Disk":
-        return Disk(R0=self.R0 * factor, rho0=self.rho0 * factor,
-                    resolution=self.resolution)
+        return Disk(R0=self.R0 * factor, rho0=self.rho0 * factor)
 
 
 @dataclass(frozen=True)
@@ -291,21 +289,24 @@ def _polygon_boundary(shape: Polygon) -> PolygonBoundary:
     )
 
 
-def boundary_nodes(shape: CrossSection, resolution: int | None = None):
+def boundary_nodes(shape: CrossSection,
+                   resolution: int = DEFAULT_RESOLUTION):
     """Sample the boundary: positions, unit outward normals, arc-length
     weights and signed curvature (smooth kinds), or exact edge data with
-    turning angles (polygons).
+    turning angles (polygons).  Smooth kinds take `resolution` nodes;
+    polygons ignore it.
 
-    Raises InvalidShapeError for non-convex curves, curves touching the
-    axis, or broken z -> -z symmetry.
+    Raises ValueError for fewer than 8 nodes, and InvalidShapeError for
+    non-convex curves, curves touching the axis, or broken z -> -z
+    symmetry.
     """
     if isinstance(shape, Polygon):
         shape.validate()
         return _polygon_boundary(shape)
     shape.validate()
-    n = int(resolution or shape.resolution)
+    n = int(resolution)
     if n < 8:
-        raise InvalidShapeError("resolution must be at least 8")
+        raise ValueError(f"resolution must be at least 8, got {n}")
     bnd = _smooth_boundary(shape, n)
     _check_smooth(shape, bnd)
     return bnd
@@ -329,7 +330,7 @@ def shape_to_dict(shape: CrossSection) -> dict:
         kind = "polygon"
     else:
         raise TypeError(f"unknown shape type {type(shape)!r}")
-    return {"kind": kind, "params": params, "resolution": shape.resolution}
+    return {"kind": kind, "params": params}
 
 
 def shape_from_dict(d: dict) -> CrossSection:
@@ -338,20 +339,17 @@ def shape_from_dict(d: dict) -> CrossSection:
         params = d["params"]
     except KeyError as exc:
         raise InvalidShapeError(f"shape file misses field {exc}") from exc
-    resolution = int(d.get("resolution", DEFAULT_RESOLUTION))
     try:
         if kind == "disk":
-            return Disk(R0=params["R0"], rho0=params["rho0"], resolution=resolution)
+            return Disk(R0=params["R0"], rho0=params["rho0"])
         if kind == "ellipse":
-            return Ellipse(resolution=resolution, R0=params["R0"],
-                           m=params["m"], n=params["n"])
+            return Ellipse(R0=params["R0"], m=params["m"], n=params["n"])
         if kind == "fourier-star":
-            return FourierStar(resolution=resolution, R0=params["R0"],
-                               base=params["base"],
+            return FourierStar(R0=params["R0"], base=params["base"],
                                coeffs=tuple(params.get("coeffs", ())))
         if kind == "polygon":
-            return Polygon(resolution=resolution,
-                           vertices=tuple(tuple(v) for v in params["vertices"]))
+            return Polygon(
+                vertices=tuple(tuple(v) for v in params["vertices"]))
     except KeyError as exc:
         raise InvalidShapeError(
             f"shape kind {kind!r} misses parameter {exc}"
@@ -371,15 +369,14 @@ def load_shape(path) -> CrossSection:
 # ---------------------------------------------------------------------------
 # random shape generators for property tests
 
-def random_smooth_shape(rng: np.random.Generator,
-                        resolution: int = DEFAULT_RESOLUTION) -> CrossSection:
+def random_smooth_shape(rng: np.random.Generator) -> CrossSection:
     """Random valid smooth convex symmetric shape (ellipse or fourier-star)."""
     while True:
         if rng.uniform() < 0.5:
             m = rng.uniform(0.3, 2.0)
             n = rng.uniform(0.3, 2.0)
             R0 = m + rng.uniform(0.05, 3.0)
-            shape = Ellipse(resolution=resolution, R0=R0, m=m, n=n)
+            shape = Ellipse(R0=R0, m=m, n=n)
         else:
             base = rng.uniform(0.5, 2.0)
             ncoef = rng.integers(1, 4)
@@ -387,8 +384,7 @@ def random_smooth_shape(rng: np.random.Generator,
                 2, 2 + ncoef
             ) ** 2
             R0 = base + rng.uniform(0.05, 3.0)
-            shape = FourierStar(resolution=resolution, R0=R0, base=base,
-                                coeffs=tuple(coeffs))
+            shape = FourierStar(R0=R0, base=base, coeffs=tuple(coeffs))
         try:
             boundary_nodes(shape)
         except InvalidShapeError:

@@ -40,7 +40,8 @@ from numpy.polynomial import polynomial as P
 from scipy.linalg import lu_factor, lu_solve
 
 from .kernel import _modulus, _modulus_factors, _split_factors, ring_kernel
-from .shapes import CrossSection, Polygon, SmoothBoundary, boundary_nodes
+from .shapes import (DEFAULT_RESOLUTION, CrossSection, Polygon,
+                     SmoothBoundary, boundary_nodes)
 
 __all__ = [
     "SolverError",
@@ -246,7 +247,8 @@ def _first_kind_solve(mat: np.ndarray, rhs: np.ndarray):
     return lu_solve(lu, rhs, check_finite=False), cond
 
 
-def solve_first_kind(shape: CrossSection, dirichlet_values, resolution=None):
+def solve_first_kind(shape: CrossSection, dirichlet_values,
+                     resolution: int = DEFAULT_RESOLUTION):
     """Density of the single layer matching given Dirichlet boundary values.
 
     Building block for manufactured-solution tests; no flux constant, no
@@ -262,7 +264,7 @@ def _smooth_or_raise(shape, resolution) -> SmoothBoundary:
     if isinstance(shape, Polygon):
         raise SolverError("the stream solver needs a smooth boundary; "
                           "polygons carry no pointwise curvature")
-    return boundary_nodes(shape, resolution or shape.resolution)
+    return boundary_nodes(shape, resolution)
 
 
 def _solve_affine(shape: CrossSection, resolution):
@@ -313,7 +315,7 @@ def _solution_at(shape, bnd, cond, cols, W: float) -> BoundarySolution:
 
 
 def solve_dirichlet(shape: CrossSection, W: float,
-                    resolution: int | None = None) -> BoundarySolution:
+                    resolution: int = DEFAULT_RESOLUTION) -> BoundarySolution:
     """Solve the exterior problem with data W r^2/2 + gamma on the boundary.
 
     gamma is determined jointly with the density by appending the discrete
@@ -385,7 +387,7 @@ def dynamic_residual(shape: CrossSection, sol: BoundarySolution,
 
 
 def optimal_W_lam(shape: CrossSection, we: float,
-                  resolution: int | None = None):
+                  resolution: int = DEFAULT_RESOLUTION):
     """(solution, W, lam): the W and lam >= 0 minimizing dyn_residual_l2 of
     one shape, exactly, from one factorization (variable projection).
 

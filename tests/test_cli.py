@@ -32,19 +32,41 @@ def test_analyze_reference_ellipse(tmp_path):
     assert_allclose(payload["report"]["delta"], exact, rtol=1e-10)
     assert payload["version"] == __version__
     assert payload["config"]["command"] == "analyze"
-    assert payload["seed"] == 0
+    assert payload["seed"] is None   # analyze has no seed
     assert payload["resolution"] is not None
 
 
-def test_format_flag_is_rejected(tmp_path):
-    # --format is not an option: argparse exits 2 before any output is opened
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--shape", "{shape}", "--format", "csv"],
+    ["bound", "--shape", "{shape}", "--we", "1", "--resolution", "4096"],
+    ["analyze", "--shape", "{shape}", "--we", "1"],
+    ["solve", "--shape", "{shape}", "--we", "1", "--budget", "5"],
+    ["verify-lemmas", "--shape", "x"],
+    ["norbury-table", "--seed", "1"],
+], ids=["analyze-format", "bound-resolution", "analyze-we", "solve-budget",
+        "verify-lemmas-shape", "norbury-table-seed"])
+def test_unread_flag_is_rejected(tmp_path, argv):
+    # each subcommand takes only the flags it reads: any other is a usage
+    # error, and argparse exits 2 before any output is opened
     shape = _write_shape(tmp_path, THICK_DISK)
     out = tmp_path / "a.json"
     with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--shape", shape, "--format", "csv",
-              "--out", str(out)])
+        main([a.format(shape=shape) for a in argv] + ["--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+def test_shape_file_resolution_key_is_ignored(tmp_path):
+    # a shape carries no node count; old files with the key still load
+    plain = _write_shape(tmp_path, ELLIPSE, "plain.json")
+    keyed = _write_shape(tmp_path, {**ELLIPSE, "resolution": 64},
+                         "keyed.json")
+    reports = []
+    for shape in (plain, keyed):
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--shape", shape, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text())["report"])
+    assert reports[0] == reports[1]
 
 
 def test_bound_verdict_ruled_out(tmp_path):

@@ -165,7 +165,7 @@ def test_weber_number_scaling():
 def test_normalize_rescales_to_unit_length_scale():
     shape = Ellipse(R0=5.0, m=2.0, n=1.5)
     params = PhysicalParams(rho=1.0, sigma=2.0, beta=0.5)
-    scaled, factors = normalize(shape, params)
+    scaled, a = normalize(shape, params)
     rep = geometry_report(scaled)
     assert_allclose(rep.area, 2.0 * np.pi, rtol=1e-12)
     assert_allclose(rep.a, 1.0, rtol=1e-12)
@@ -173,7 +173,7 @@ def test_normalize_rescales_to_unit_length_scale():
     rep0 = geometry_report(shape)
     assert_allclose(rep.delta, rep0.delta, rtol=1e-9)
     assert_allclose(rep.mu, rep0.mu, rtol=1e-12)
-    assert_allclose(factors.a, rep0.a, rtol=1e-12)
+    assert_allclose(a, rep0.a, rtol=1e-12)
 
 
 def small_radius_delta_implication(shape) -> bool:

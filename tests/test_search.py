@@ -93,6 +93,9 @@ def test_invalid_arguments():
         residual_minimize("thick-disk", we=-1.0, budget=5)
     with pytest.raises(ValueError):
         residual_minimize("thick-disk", we=1.0, budget=0)
+    # too few nodes is a bad argument, not a rejected shape
+    with pytest.raises(ValueError):
+        residual_minimize("thick-disk", we=1.0, budget=5, resolution=4)
 
 
 def test_low_we_floor_is_positive():
