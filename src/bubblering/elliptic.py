@@ -1,7 +1,12 @@
 """Complete elliptic integrals K(k), E(k) via the arithmetic-geometric mean.
 
-Self-contained: no scipy.special.  Besides the plain values, this module
-exposes the logarithmic splitting
+Self-contained: no scipy.special.  One AGM, (a, b, c)_0 = (1, k', k) with
+c_{n+1} = c_n^2 / (4 a_{n+1}) (Abramowitz & Stegun 17.6), gives
+
+    K = pi / (2 a_inf),   E = K (1 - k^2/2 - T/2),   T = sum_{n>=1} 2^n c_n^2,
+
+a tail sum T of positive terms.  The module also exposes the logarithmic
+splitting
 
     K(k) = (1/pi) K(k') ln(1/q) + RK(q)
     E(k) = (1/pi) (K(k') - E(k')) ln(1/q) + RE(q),      q = k'^2 = 1 - k^2,
@@ -97,29 +102,18 @@ def _polyval_ascending(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _agm(b0, csum0):
-    """K, E from the AGM started at (a, b) = (1, b0) with b0 = k', and
-    csum0 = c_0^2 / 2 = k^2 / 2.
-
-    Terminates when arithmetic and geometric means agree to machine epsilon
-    relative; quadratic convergence keeps the count below ~10 in doubles.
-    """
-    a = np.ones_like(b0)
-    b = b0
-    csum = csum0  # 2^(n-1) c_n^2, n = 0 term
-    pow2 = 1.0
+def _agm(b0, c0):
+    """(K, T) of the AGM started at (a, b, c) = (1, b0, c0) = (1, k', k);
+    see the module docstring.  Stops once c_n <= eps a_n (< ~10 steps)."""
+    a, b, c, T, pow2 = np.ones_like(b0), b0, c0, 0.0, 1.0
     for _ in range(60):
-        c = 0.5 * (a - b)
-        an = 0.5 * (a + b)
-        b = np.sqrt(a * b)
-        a = an
-        csum = csum + pow2 * c * c
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        c = c * c / (4.0 * a)
         pow2 *= 2.0
-        if np.all(np.abs(c) <= _EPS * a):
+        T = T + pow2 * c * c
+        if np.all(c <= _EPS * a):
             break
-    K = np.pi / (2.0 * a)
-    E = K * (1.0 - csum)
-    return K, E
+    return np.pi / (2.0 * a), T
 
 
 def ellipke(k):
@@ -127,7 +121,8 @@ def ellipke(k):
     k = np.asarray(k, dtype=float)
     if np.any(k < 0) or np.any(k >= 1):
         raise ModulusError("modulus must satisfy 0 <= k < 1")
-    return _agm(np.sqrt((1.0 - k) * (1.0 + k)), 0.5 * k * k)
+    K, T = _agm(np.sqrt((1.0 - k) * (1.0 + k)), k)
+    return K, K * (1.0 - 0.5 * k * k - 0.5 * T)
 
 
 def ellipke_complement(q):
@@ -140,7 +135,8 @@ def ellipke_complement(q):
     q = np.asarray(q, dtype=float)
     if np.any(q <= 0) or np.any(q > 1):
         raise ModulusError("complement must satisfy 0 < q <= 1")
-    return _agm(np.sqrt(q), 0.5 * (1.0 - q))
+    K, T = _agm(np.sqrt(q), np.sqrt(1.0 - q))
+    return K, K * (0.5 * (1.0 + q) - 0.5 * T)
 
 
 def ellip_log_split(q):
@@ -186,21 +182,10 @@ def kc_minus_ec_over_q(q, Kc=None, Ec=None):
 
 
 def complete_elliptic(k: float) -> EllipticPair:
-    """K(k) and E(k) for a scalar modulus k in [0, 1).
-
-    Relative error <= 1e-13.  Near k = 1 the second integral is assembled
-    from the complementary-modulus expansion to avoid cancellation in the
-    AGM sum.
-    """
+    """K(k) and E(k) for a scalar modulus k in [0, 1); relative error
+    <= 1e-13 down to k = 1 - 1e-8."""
     k = float(k)
     if not 0.0 <= k < 1.0:
         raise ModulusError(f"modulus must satisfy 0 <= k < 1, got {k}")
-    q = (1.0 - k) * (1.0 + k)
-    if q < 1e-4:
-        Kc, Ec, RK, RE = ellip_log_split(np.array([q]))
-        L = np.log(1.0 / q)
-        K = (1.0 / np.pi) * Kc[0] * L + RK[0]
-        E = (1.0 / np.pi) * (Kc[0] - Ec[0]) * L + RE[0]
-        return EllipticPair(k=k, K=float(K), E=float(E))
     K, E = ellipke(np.array([k]))
     return EllipticPair(k=k, K=float(K[0]), E=float(E[0]))

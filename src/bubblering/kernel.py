@@ -12,82 +12,25 @@ logarithmically singular at coincident points: with q = 1 - k^2,
     F(k) = FL(k, q) ln(1/q) + Freg(k, q),
 
 and both factors are analytic, which is what the Nystrom scheme consumes.
+
+Pointwise, F and F'(k) = -2K/k^2 + (2 - k^2) E / (k^2 q) come from one AGM
+(`elliptic._agm`): with E = K (1 - k^2/2 - T/2) and the AGM tail sum T,
+
+    F(k)  = K T / k,
+    F'(k) = K (k^2 (k^2 + T)/2 - T) / (k^2 q).
+
+The O(1/k) parts of K and E cancel in closed form, and T ~ k^4/8, so the
+far field F ~ (pi/16) k^3 needs no series.  Near k = 1 the bracket tends
+to E/K, so F' keeps a relative error of about K eps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .elliptic import (
-    _A,
-    ellipke_complement,
-    ellip_log_split,
-    kc_minus_ec_over_q,
-)
+from .elliptic import _agm, ellip_log_split, kc_minus_ec_over_q
 
 __all__ = ["ring_kernel", "ring_kernel_gradient"]
-
-# F(k) = sum f_m k^(2m-1), m >= 1: exact series from the K, E expansions;
-# f_1 = 0, so F ~ (pi/16) k^3 at small k (far field).
-_F_COEF = np.array(
-    [np.pi * _A[m] * (2 * m / (2 * m - 1)) - (np.pi / 2) * _A[m - 1]
-     for m in range(1, len(_A))]
-)
-_SMALL_K = 0.2
-
-
-def _F_series(k):
-    k2 = k * k
-    acc = np.zeros_like(k) + _F_COEF[-1]
-    for c in _F_COEF[-2::-1]:
-        acc = acc * k2 + c
-    return acc * k
-
-
-def _dF_series(k):
-    # d/dk sum f_m k^(2m-1) = sum (2m-1) f_m k^(2m-2)
-    k2 = k * k
-    n = len(_F_COEF)
-    acc = np.zeros_like(k) + (2 * n - 1) * _F_COEF[-1]
-    for m in range(n - 1, 0, -1):
-        acc = acc * k2 + (2 * m - 1) * _F_COEF[m - 1]
-    return acc
-
-
-def _F_direct(k, q):
-    K, E = ellipke_complement(q)
-    return (2.0 / k - k) * K - (2.0 / k) * E
-
-
-def _dF_direct(k, q):
-    # F'(k) = -2 K / k^2 + (2 - k^2) E / (k^2 q), q = 1 - k^2
-    K, E = ellipke_complement(q)
-    k2 = k * k
-    return (-2.0 * K + (2.0 - k2) * E / q) / k2
-
-
-def _F(k, q):
-    k = np.asarray(k, dtype=float)
-    q = np.asarray(q, dtype=float)
-    out = np.empty_like(k)
-    small = k < _SMALL_K
-    if np.any(small):
-        out[small] = _F_series(k[small])
-    if np.any(~small):
-        out[~small] = _F_direct(k[~small], q[~small])
-    return out
-
-
-def _dF(k, q):
-    k = np.asarray(k, dtype=float)
-    q = np.asarray(q, dtype=float)
-    out = np.empty_like(k)
-    small = k < _SMALL_K
-    if np.any(small):
-        out[small] = _dF_series(k[small])
-    if np.any(~small):
-        out[~small] = _dF_direct(k[~small], q[~small])
-    return out
 
 
 def _modulus(r, z, rb, zb):
@@ -98,6 +41,24 @@ def _modulus(r, z, rb, zb):
     return np.sqrt(np.clip(k2, 0.0, 1.0)), q, d1sq, rho2
 
 
+def _pointwise(source, target):
+    """(r, z, k, d1^2, F, F') of a filament at `source` seen from `target`,
+    F and F' from one AGM (see the module docstring; q seeds it, so k near
+    1 keeps its digits).  Raises ValueError for a radius <= 0 or
+    coincident points."""
+    rb, zb = source
+    r = np.asarray(target[0], dtype=float)
+    z = np.asarray(target[1], dtype=float)
+    if np.any(np.asarray(rb) <= 0) or np.any(r <= 0):
+        raise ValueError("ring kernel needs positive radii")
+    k, q, d1sq, rho2 = _modulus(r, z, rb, zb)
+    if np.any(rho2 == 0.0):
+        raise ValueError("ring kernel is singular at coincident points")
+    K, T = _agm(np.sqrt(q), k)
+    k2 = k * k
+    return r, z, k, d1sq, K * T / k, K * (0.5 * k2 * (k2 + T) - T) / (k2 * q)
+
+
 def ring_kernel(source, target):
     """Stream-function value at `target` of a unit filament at `source`.
 
@@ -105,29 +66,16 @@ def ring_kernel(source, target):
     (the kernel is log-singular there; boundary quadrature must use the
     split form instead).
     """
-    rb, zb = source
-    r, z = target
-    if np.any(np.asarray(rb) <= 0) or np.any(np.asarray(r) <= 0):
-        raise ValueError("ring kernel needs positive radii")
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
-    k, q, _, rho2 = _modulus(r, z, rb, zb)
-    if np.any(rho2 == 0.0):
-        raise ValueError("ring kernel is singular at coincident points")
-    val = np.sqrt(r * rb) / (2.0 * np.pi) * _F(k, q)
+    r, _, _, _, F, _ = _pointwise(source, target)
+    val = np.sqrt(r * source[0]) / (2.0 * np.pi) * F
     return float(val) if val.ndim == 0 else val
 
 
 def ring_kernel_gradient(source, target):
-    """(dG/dr, dG/dz) with respect to the target point."""
+    """(dG/dr, dG/dz) with respect to the target point; raises as
+    `ring_kernel` does."""
     rb, zb = source
-    r = np.asarray(target[0], dtype=float)
-    z = np.asarray(target[1], dtype=float)
-    k, q, d1sq, rho2 = _modulus(r, z, rb, zb)
-    if np.any(rho2 == 0.0):
-        raise ValueError("ring kernel is singular at coincident points")
-    F = _F(k, q)
-    dF = _dF(k, q)
+    r, z, k, d1sq, F, dF = _pointwise(source, target)
     k_r = k * ((rb - r) * (rb + r) + (z - zb) ** 2) / (2.0 * r * d1sq)
     k_z = -k * (z - zb) / d1sq
     pref = np.sqrt(r * rb) / (2.0 * np.pi)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -296,7 +295,8 @@ def boundary_nodes(shape: CrossSection,
     turning angles (polygons).  Smooth kinds take `resolution` nodes;
     polygons ignore it.
 
-    Raises ValueError for fewer than 8 nodes, and InvalidShapeError for
+    Raises ValueError for fewer than 8 or more than MAX_RESOLUTION nodes
+    (before any work that scales with n), and InvalidShapeError for
     non-convex curves, curves touching the axis, or broken z -> -z
     symmetry.
     """
@@ -305,8 +305,9 @@ def boundary_nodes(shape: CrossSection,
         return _polygon_boundary(shape)
     shape.validate()
     n = int(resolution)
-    if n < 8:
-        raise ValueError(f"resolution must be at least 8, got {n}")
+    if not 8 <= n <= MAX_RESOLUTION:
+        raise ValueError(
+            f"resolution must lie in [8, {MAX_RESOLUTION}], got {n}")
     bnd = _smooth_boundary(shape, n)
     _check_smooth(shape, bnd)
     return bnd

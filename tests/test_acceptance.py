@@ -4,13 +4,11 @@ tolerance and runtime budget, printed as one line per criterion."""
 import time
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from bubblering.certify import explicit_bound, norbury_scaling_probe, universal_bound
 from bubblering.geometry import (
     PhysicalParams,
-    disk_delta,
     ellipse_inv_r2_integral,
     geometry_report,
     outer_radius_ratio,

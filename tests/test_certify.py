@@ -12,7 +12,6 @@ from bubblering.certify import (
 )
 from bubblering.geometry import (
     PhysicalParams,
-    disk_delta,
     geometry_report,
     normalize,
     surface_set_length,

@@ -98,6 +98,19 @@ def test_missing_we_is_validation_error(tmp_path):
     assert main(["search"]) == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "search"])
+def test_resolution_above_maximum_is_validation_error(tmp_path, capsys,
+                                                       command):
+    # rejected before any assembly: exit 2 and no output file
+    shape = (_write_shape(tmp_path, THICK_DISK) if command == "solve"
+             else "family:thick-disk")
+    out = tmp_path / "a.json"
+    assert main([command, "--shape", shape, "--we", "1", "--resolution",
+                 "8194", "--out", str(out)]) == 2
+    assert "resolution must lie in" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_shape_is_validation_error(tmp_path, capsys):
     bad = _write_shape(tmp_path, {"kind": "ellipse", "params": {"R0": 3.0}})
     assert main(["analyze", "--shape", bad]) == 2

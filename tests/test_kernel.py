@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -28,6 +29,34 @@ def test_coincident_points_rejected():
         ring_kernel((1.0, 0.2), (1.0, 0.2))
     with pytest.raises(ValueError):
         ring_kernel((-1.0, 0.0), (2.0, 0.0))
+    with pytest.raises(ValueError):
+        ring_kernel_gradient((1.0, 0.0), (-0.5, 0.3))
+
+
+def _mp_kernel(rb, zb, r, z):
+    d1sq = (r + rb) ** 2 + (z - zb) ** 2
+    m = 4 * r * rb / d1sq
+    k = mpmath.sqrt(m)
+    F = (2 / k - k) * mpmath.ellipk(m) - (2 / k) * mpmath.ellipe(m)
+    return mpmath.sqrt(r * rb) / (2 * mpmath.pi) * F
+
+
+def test_against_mpmath_along_a_line():
+    # source (1, 0), targets (1, z): k runs from about 2e-4 (far field) to
+    # 1 - 1e-11 (near the filament); derivatives by mpmath's own
+    # differentiation of the 40-digit kernel
+    one = mpmath.mpf(1)
+    with mpmath.workdps(40):
+        for z in np.logspace(-5.0, 4.0, 60):
+            zm = mpmath.mpf(float(z))
+            G = _mp_kernel(one, 0, one, zm)
+            Gr = mpmath.diff(lambda r: _mp_kernel(one, 0, r, zm), one)
+            Gz = mpmath.diff(lambda t: _mp_kernel(one, 0, one, t), zm)
+            assert_allclose(ring_kernel((1.0, 0.0), (1.0, z)), float(G),
+                            rtol=1e-14)
+            gr, gz = ring_kernel_gradient((1.0, 0.0), (1.0, z))
+            assert_allclose(gr, float(Gr), rtol=1e-14)
+            assert_allclose(gz, float(Gz), rtol=1e-14)
 
 
 def test_gradient_matches_finite_differences():

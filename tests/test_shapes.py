@@ -9,6 +9,7 @@ from bubblering.shapes import (
     Ellipse,
     FourierStar,
     InvalidShapeError,
+    MAX_RESOLUTION,
     Polygon,
     boundary_nodes,
     load_shape,
@@ -35,6 +36,15 @@ def test_disk_curvature_constant():
     bnd = boundary_nodes(shape, 128)
     assert_allclose(bnd.curvature, 1.0 / 0.7, rtol=1e-12)
     assert_allclose(bnd.perimeter, 2.0 * np.pi * 0.7, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [7, MAX_RESOLUTION + 2])
+def test_node_count_out_of_range_is_bad_argument(n):
+    # a bad n is a plain ValueError, not a rejected shape, raised before
+    # any work that scales with n
+    with pytest.raises(ValueError) as exc:
+        boundary_nodes(Disk(R0=2.0, rho0=0.7), n)
+    assert not isinstance(exc.value, InvalidShapeError)
 
 
 def test_axis_touching_rejected():
