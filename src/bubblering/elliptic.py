@@ -13,7 +13,14 @@ splitting
 
 with RK, RE analytic on [0, 1).  The split isolates the log singularity of
 the axisymmetric ring kernel at coincident points, which is what the
-Nystrom quadrature needs.
+Nystrom quadrature needs.  One AGM of modulus sqrt(q) gives Kc = K(k'),
+Ec = E(k') and its tail sum T, and with them, free of cancellation,
+
+    (Kc - Ec) / q = Kc (1 + T/q) / 2          (T/q -> 0 as q -> 0),
+    RE = (pi/2 + q RK (Kc - Ec)/q) / Kc,
+
+the second from Legendre's relation E Kc + Ec K - K Kc = pi/2, in which
+the log parts cancel exactly.  Only RK keeps a power series (small q).
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ __all__ = [
     "ellipke",
     "ellipke_complement",
     "ellip_log_split",
-    "kc_minus_ec_over_q",
 ]
 
 _EPS = np.finfo(float).eps
@@ -70,27 +76,7 @@ _A, _D = _series_data()
 # RK(q) = sum A[m] d[m] q^m
 _RK_COEF = _A * _D
 
-# RE(q) = q RK + (2/pi)(1-q) K(k') - 2 q (1-q) RK'(q), assembled termwise.
-_RE_COEF = np.zeros(_NSER)
-for _m in range(_NSER):
-    c = 0.0
-    if _m >= 1:
-        c += _RK_COEF[_m - 1]  # q * RK
-    c += _A[_m]  # (2/pi) Kc
-    if _m >= 1:
-        c -= _A[_m - 1]  # -(2/pi) q Kc
-    c -= 2.0 * _m * _RK_COEF[_m]  # -2 q RK'
-    if _m >= 1:
-        c += 2.0 * (_m - 1) * _RK_COEF[_m - 1]  # +2 q^2 RK'
-    _RE_COEF[_m] = c
-del _m, c
-
-# (K(k') - E(k'))/q = (pi/2) sum A[m] (2m/(2m-1)) q^(m-1), m >= 1
-_KME_COEF = np.array(
-    [(np.pi / 2) * _A[m] * (2 * m / (2 * m - 1)) for m in range(1, _NSER)]
-)
-
-_SERIES_CUT = 0.35  # series in q below, direct AGM evaluation above
+_SERIES_CUT = 0.35  # RK: series in q below, direct AGM evaluation above
 
 
 def _polyval_ascending(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -140,45 +126,33 @@ def ellipke_complement(q):
 
 
 def ellip_log_split(q):
-    """Return (Kc, Ec, RK, RE) for q = k'^2 in (0, 1).
+    """Return (Kc, Ec, RK, RE, KmE_q) for q = k'^2 in [0, 1).
 
-    Kc = K(sqrt(q)), Ec = E(sqrt(q)); RK and RE are the regular parts of
-    K(k) and E(k) in the splitting documented in the module docstring.
-    Small q uses the power series (no cancellation); larger q subtracts the
-    directly evaluated log part, which is then well conditioned.
+    Kc = K(sqrt(q)), Ec = E(sqrt(q)), KmE_q = (Kc - Ec)/q (pi/4 at q = 0);
+    RK and RE are the regular parts of K(k) and E(k) in the splitting
+    documented in the module docstring.  Kc, Ec and KmE_q come from one AGM
+    of modulus sqrt(q), RE from Legendre's relation.  RK takes its power
+    series below q = 0.35 (no cancellation) and subtracts the directly
+    evaluated log part above, where that is well conditioned.
     """
     q = np.asarray(q, dtype=float)
-    Kc, Ec = ellipke(np.sqrt(q))
+    if np.any(q < 0) or np.any(q >= 1):
+        raise ModulusError("complement must satisfy 0 <= q < 1")
+    Kc, T = _agm(np.sqrt(1.0 - q), np.sqrt(q))
+    T_q = np.divide(T, q, out=np.zeros_like(q), where=q > 0.0)
+    kme_q = 0.5 * Kc * (1.0 + T_q)
+    Ec = Kc * (1.0 - 0.5 * q - 0.5 * T)
     RK = np.empty_like(q)
-    RE = np.empty_like(q)
     small = q < _SERIES_CUT
     if np.any(small):
-        qs = q[small]
-        RK[small] = _polyval_ascending(_RK_COEF, qs)
-        RE[small] = _polyval_ascending(_RE_COEF, qs)
+        RK[small] = _polyval_ascending(_RK_COEF, q[small])
     big = ~small
     if np.any(big):
         qb = q[big]
-        L = np.log(1.0 / qb)
-        K, E = ellipke_complement(qb)
-        RK[big] = K - (1.0 / np.pi) * Kc[big] * L
-        RE[big] = E - (1.0 / np.pi) * (Kc[big] - Ec[big]) * L
-    return Kc, Ec, RK, RE
-
-
-def kc_minus_ec_over_q(q, Kc=None, Ec=None):
-    """(K(k') - E(k')) / q, stable down to q = 0 (limit pi/4)."""
-    q = np.asarray(q, dtype=float)
-    out = np.empty_like(q)
-    small = q < _SERIES_CUT
-    if np.any(small):
-        out[small] = _polyval_ascending(_KME_COEF, q[small])
-    big = ~small
-    if np.any(big):
-        if Kc is None or Ec is None:
-            Kc, Ec = ellipke(np.sqrt(q))
-        out[big] = (np.asarray(Kc)[big] - np.asarray(Ec)[big]) / q[big]
-    return out
+        K, _ = ellipke_complement(qb)
+        RK[big] = K - (1.0 / np.pi) * Kc[big] * np.log(1.0 / qb)
+    RE = (0.5 * np.pi + q * RK * kme_q) / Kc
+    return Kc, Ec, RK, RE, kme_q
 
 
 def complete_elliptic(k: float) -> EllipticPair:

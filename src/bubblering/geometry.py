@@ -279,16 +279,17 @@ def surface_set_length(shape: CrossSection, b: float) -> float:
         (dr, dz), _ = shape.derivs(np.asarray(t))
         return np.hypot(dr, dz)
 
-    f = bnd.normal_r - b
-    dt = 2.0 * np.pi / bnd.n_nodes
+    # node i brackets a crossing if f vanishes there or changes sign by
+    # i+1; f is evaluated at the same points as brentq's bracket ends, so
+    # the two see the same signs
+    t = np.append(bnd.t, 2.0 * np.pi)
+    f = nr_minus_b(t)
     crossings = []
-    # node i brackets a crossing if f vanishes there or changes sign by i+1
-    for i in np.flatnonzero((f == 0) | ((f > 0) != (np.roll(f, -1) > 0))):
-        t0 = bnd.t[i]
-        if nr_minus_b(t0) == 0.0:
-            crossings.append(t0)
+    for i in np.flatnonzero((f[:-1] == 0) | ((f[:-1] > 0) != (f[1:] > 0))):
+        if f[i] == 0.0:
+            crossings.append(t[i])
         else:
-            crossings.append(brentq(nr_minus_b, t0, t0 + dt, xtol=1e-14))
+            crossings.append(brentq(nr_minus_b, t[i], t[i + 1], xtol=1e-14))
     if not crossings:
         return bnd.perimeter if f[0] > 0 else 0.0
     total = 0.0

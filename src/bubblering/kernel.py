@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .elliptic import _agm, ellip_log_split, kc_minus_ec_over_q
+from .elliptic import _agm, ellip_log_split
 
 __all__ = ["ring_kernel", "ring_kernel_gradient"]
 
@@ -94,30 +94,24 @@ def _modulus_factors(k, q):
     """The kernel factors that depend on a point pair only through its
     modulus (k, q = 1 - k^2): (FL, Freg, dFL, RKk, REk), with dFL the log
     factor of F'(k), RKk = -2 RK / k^2 and REk = (2 - k^2) RE / k^2."""
-    Kc, Ec, RK, RE = ellip_log_split(q)
+    Kc, Ec, RK, RE, kme_q = ellip_log_split(q)
     FL = ((2.0 / k) * Ec - k * Kc) / np.pi
     Freg = (2.0 / k - k) * RK - (2.0 / k) * RE
-    kme_q = kc_minus_ec_over_q(q, Kc, Ec)
     k2 = k * k
     dFL = (-2.0 * Kc + (2.0 - k2) * kme_q) / (np.pi * k2)
     return FL, Freg, dFL, -2.0 * RK / k2, (2.0 - k2) * RE / k2
 
 
-def _split_factors(r, z, rb, zb, nr=None, nz=None, kappa_diag=None,
-                   factors=None):
+def _split_factors(r, z, rb, zb, nr=None, nz=None, kappa_diag=None):
     """One pass over the point pairs for both split kernels.
 
     Returns (k, q, rho2, FL, Freg, pref, AL, Areg): the single-layer factors
     of `kernel_split` and, when the target normal (nr, nz) is given, the
     normal-derivative factors of `gradient_split` (else AL = Areg = None).
-    The modulus and the elliptic log split are computed once for both;
-    `factors` supplies the `_modulus_factors` of these pairs instead, when
-    the caller already has them.
+    The modulus and the elliptic log split are computed once for both.
     """
     k, q, d1sq, rho2 = _modulus(r, z, rb, zb)
-    if factors is None:
-        factors = _modulus_factors(k, q)
-    FL, Freg, dFL, RKk, REk = factors
+    FL, Freg, dFL, RKk, REk = _modulus_factors(k, q)
     pref = np.sqrt(r * rb) / (2.0 * np.pi)
     if nr is None:
         return k, q, rho2, FL, Freg, pref, None, None

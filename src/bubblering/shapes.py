@@ -211,19 +211,31 @@ class PolygonBoundary:
 
 
 def _smooth_boundary(shape, n: int) -> SmoothBoundary:
+    """Nodes 0..n/2 are evaluated and nodes n/2+1..n-1 copied from their
+    mirrors n - j with z and the normal's z component negated, so the
+    sampled curve is exactly z -> -z symmetric; the mirror's fixed nodes
+    t = 0 and t = pi (n even) lie on z = 0."""
     t = 2.0 * np.pi * np.arange(n) / n
-    r, z = shape.point(t)
-    (dr, dz), (ddr, ddz) = shape.derivs(t)
+    half = n // 2
+    r, z = shape.point(t[:half + 1])
+    (dr, dz), (ddr, ddz) = shape.derivs(t[:half + 1])
     speed = np.hypot(dr, dz)
     if np.any(speed <= 0):
         raise InvalidShapeError("degenerate parameterization (zero speed)")
     nr = dz / speed
     nz = -dr / speed
     kappa = (dr * ddz - dz * ddr) / speed**3
-    weights = speed * (2.0 * np.pi / n)
+    fixed = [0, half] if n % 2 == 0 else [0]
+    z[fixed] = 0.0
+    nz[fixed] = 0.0
+    mirror = slice(n - half - 1, 0, -1)   # node n - j of node j > n/2
+    r, speed, nr, kappa = (np.concatenate([a, a[mirror]])
+                           for a in (r, speed, nr, kappa))
+    z, nz = (np.concatenate([a, -a[mirror]]) for a in (z, nz))
     return SmoothBoundary(
         t=t, r=r, z=z, speed=speed,
-        normal_r=nr, normal_z=nz, curvature=kappa, weights=weights,
+        normal_r=nr, normal_z=nz, curvature=kappa,
+        weights=speed * (2.0 * np.pi / n),
     )
 
 
@@ -241,11 +253,13 @@ def _check_smooth(shape, bnd: SmoothBoundary) -> None:
             f"curve is not convex: min curvature {np.min(bnd.curvature):.3g}"
         )
     # z -> -z symmetry: the parameterizations built here satisfy
-    # (r, z)(-t) = (r, -z)(t); verify on the sampled nodes.
-    rm, zm = shape.point(-bnd.t)
+    # (r, z)(-t) = (r, -z)(t); verify on the evaluated nodes 0..n/2 (the
+    # others are copies of their mirrors).
+    m = bnd.n_nodes // 2 + 1
+    rm, zm = shape.point(-bnd.t[:m])
     scale = max(1.0, float(np.max(np.abs(bnd.z))))
-    if np.max(np.abs(rm - bnd.r)) > 1e-12 * scale or np.max(
-        np.abs(zm + bnd.z)
+    if np.max(np.abs(rm - bnd.r[:m])) > 1e-12 * scale or np.max(
+        np.abs(zm + bnd.z[:m])
     ) > 1e-12 * scale:
         raise InvalidShapeError("curve is not symmetric under z -> -z")
 

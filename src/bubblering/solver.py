@@ -14,20 +14,23 @@ logarithmic part ln(4 sin^2((t - tau)/2)); the normal derivative follows
 from the conormal jump relation of the single layer, with the principal
 value handled by the same splitting.
 
-Assembly is one pass: the modulus, the elliptic log split and the log
-factor give the rows of both the single-layer and the normal-derivative
-matrix.  The factors that depend only on the modulus are evaluated once per
-orbit of the point pairs under reciprocity (i, j) <-> (j, i) and the mirror
-(i, j) <-> (n - i, n - j), about a quarter of all pairs, and gathered; the
-terms with the target normal are evaluated per pair.  The log quadrature
-weights and the orbit map are cached per n.  `solve_dirichlet` uses the
-z -> -z mirror symmetry of every section: it assembles only the rows of
-nodes 0..n/2, folds column n - j onto column j and solves the bordered
-system of n/2 + 1 densities plus gamma, then unfolds the results to all n
-nodes.  The system is solved by LU; `condition_number` is the 1-norm
-condition estimate of LAPACK's dgecon algorithm, taken from that
-factorization, for the folded bordered system, and the solve is refused
-above MAX_CONDITION.
+The boundary nodes are exactly z -> -z symmetric: node n - j is a copy of
+node j with z negated.  Every kernel factor that is symmetric in the point
+pair (the modulus, the elliptic log split, the log-quadrature correction
+Rlog and the combined coefficients P, D3, D4 of `_orbit_coefficients`) is
+computed once per orbit of the node pairs under reciprocity
+(i, j) <-> (j, i) and the mirror (i, j) <-> (n - i, n - j), about a quarter
+of all pairs.  The matrix entries are then gathers of these coefficients
+and row and column scalings, plus the target normal's dot product with
+each source.  `solve_dirichlet` uses the mirror symmetry of every
+section: it gathers the folded block directly, target nodes 0..n/2 with
+column j carrying node j and its mirror n - j, through two orbit maps (one
+for j, one for n - j), and solves the bordered system of n/2 + 1 densities
+plus gamma, then unfolds the results to all n nodes.  The log quadrature
+weights and the orbit maps are cached per n.  The system is solved by LU;
+`condition_number` is the 1-norm condition estimate of LAPACK's dgecon
+algorithm, taken from that factorization, for the folded bordered system,
+and the solve is refused above MAX_CONDITION.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy.linalg import lu_factor, lu_solve
 
-from .kernel import _modulus, _modulus_factors, _split_factors, ring_kernel
+from .kernel import _modulus, _modulus_factors, ring_kernel
 from .shapes import (DEFAULT_RESOLUTION, CrossSection, Polygon,
                      SmoothBoundary, boundary_nodes)
 
@@ -114,98 +117,162 @@ def log_quadrature_weights(n_nodes: int) -> np.ndarray:
 
         int_0^2pi ln(4 sin^2((t_i - s)/2)) f(s) ds ~ sum_j R_|i-j| f(t_j)
 
-    on the uniform grid t_j = 2 pi j / n (n even).  Cached per n; the
-    returned array is read-only."""
+    on the uniform grid t_j = 2 pi j / n (n even).  The cosines take
+    cos(t_j m) at the reduced argument 2 pi (min(j, n - j) m mod n) / n, so
+    R_d == R_{n-d} exactly.  Cached per n; the returned array is read-only."""
     if n_nodes % 2:
         raise ValueError("node count must be even")
     half = n_nodes // 2
     j = np.arange(n_nodes)
-    t = 2.0 * np.pi * j / n_nodes
     m = np.arange(1, half)
+    jm = np.outer(np.minimum(j, n_nodes - j), m) % n_nodes
     R = -(4.0 * np.pi / n_nodes) * (
-        np.cos(np.outer(t, m)) @ (1.0 / m) + ((-1.0) ** j) / (2.0 * half)
+        np.cos((2.0 * np.pi / n_nodes) * jm) @ (1.0 / m)
+        + ((-1.0) ** j) / (2.0 * half)
     )
     R.flags.writeable = False
     return R
 
 
 @lru_cache(maxsize=8)
-def _pair_orbits(n: int, n_rows: int):
+def _pair_orbits(n: int):
     """Orbits of the node pairs under reciprocity (i, j) <-> (j, i) and the
-    mirror (i, j) <-> (n - i, n - j) mod n, which keep the modulus q (the
-    kernel is symmetric in its points, node n - i mirrors node i).
+    mirror (i, j) <-> (n - i, n - j) mod n, which keep every factor that is
+    symmetric in the pair (node n - i mirrors node i exactly).
 
     Representatives: (0, d) for 0 <= d <= n/2 and (a, a + d) for
-    1 <= a <= n/2, 0 <= d <= n - 2a, numbered in that order.  The pair
-    (i, j) has a = min(i, j, n - i, n - j) and d = |i - j| (min(d, n - d)
-    when a = 0).  Returns (ra, rb, idx, orbit): the representatives' node
-    indices and, for rows 0..n_rows-1 and all n columns, idx = |i - j| and
-    the number of each pair's representative.  Read-only, cached per
-    (n, n_rows).
+    1 <= a <= n/2, 0 <= d <= n - 2a, numbered in that order, so the
+    diagonal pair (a, a) is number start[a].  Returns (ra, rb, start, R,
+    s2): the representatives' node indices, and their log weight R_d and
+    4 sin^2(pi d / n) (1 on the diagonal), d = rb - ra.  Read-only, cached
+    per n.
     """
     half = n // 2
     counts = np.concatenate([[half + 1], n + 1 - 2 * np.arange(1, half + 1)])
     start = np.concatenate([[0], np.cumsum(counts[:-1])])
     ra = np.repeat(np.arange(half + 1), counts)
     rb = np.arange(ra.size) - start[ra] + ra
-    node = np.arange(n)
-    fold = np.minimum(node, n - node)
-    a = np.minimum(fold[:n_rows, None], fold[None, :])
-    idx = np.abs(node[:n_rows, None] - node[None, :])
-    orbit = np.where(a == 0, np.minimum(idx, n - idx), start[a] + idx)
-    for arr in (ra, rb, idx, orbit):
+    d = rb - ra
+    s2 = 4.0 * np.sin(np.pi * d / n) ** 2
+    s2[start] = 1.0
+    R = log_quadrature_weights(n)[d]
+    for arr in (ra, rb, start, R, s2):
         arr.flags.writeable = False
-    return ra, rb, idx, orbit
+    return ra, rb, start, R, s2
 
 
-def _log_factor(bnd: SmoothBoundary, q: np.ndarray, rows: np.ndarray,
-                idx: np.ndarray) -> np.ndarray:
-    """ln(q / (4 sin^2((t_i - t_j)/2))) on target rows `rows`, idx = |i - j|,
-    with the diagonal limit ln(speed^2 / (4 r^2))."""
-    s2 = 4.0 * np.sin(np.pi * np.arange(bnd.n_nodes) / bnd.n_nodes) ** 2
-    s2[0] = 1.0
-    ratio = q / s2[idx]
-    ratio[np.arange(rows.size), rows] = (bnd.speed[rows]**2
-                                         / (4.0 * bnd.r[rows]**2))
-    return np.log(ratio)
+def _orbit_of(n: int, i, j):
+    """Orbit numbers of the pairs (i, j), broadcast: a = min(i, j, n - i,
+    n - j) and d = |i - j| (min(d, n - d) when a = 0)."""
+    start = _pair_orbits(n)[2]
+    a = np.minimum(np.minimum(i, n - i), np.minimum(j, n - j))
+    d = np.abs(i - j)
+    return np.where(a == 0, np.minimum(d, n - d), start[a] + d)
 
 
-def _assemble(bnd: SmoothBoundary,
-              n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Target rows 0..n_rows-1 (all n columns) of the single-layer matrix S
-    and the principal-value normal-derivative matrix A, from one pass over
-    the kernel factors: psi = S phi, dpsi/dn = -r phi / 2 + A phi.
+@lru_cache(maxsize=8)
+def _folded_orbits(n: int):
+    """(col, mirror): the orbits of the pairs (i, j) and (i, n - j) for
+    i, j in 0..n/2.  Columns 0 and n/2 have no mirror column; there
+    `mirror` holds the orbit count, the number of a zero sentinel.
+    Read-only, cached per n."""
+    half = n // 2
+    i = np.arange(half + 1)[:, None]
+    j = np.arange(half + 1)[None, :]
+    col = _orbit_of(n, i, j)
+    mirror = _orbit_of(n, i, n - j)
+    mirror[:, [0, half]] = _pair_orbits(n)[0].size
+    for arr in (col, mirror):
+        arr.flags.writeable = False
+    return col, mirror
 
-    The factors that depend only on the modulus, the elliptic ones, are
-    evaluated once per orbit of `_pair_orbits` and gathered; the terms
-    with the target normal are evaluated per pair."""
+
+def _orbit_coefficients(bnd: SmoothBoundary):
+    """Every kernel factor that is symmetric in the point pair, once per
+    orbit representative of `_pair_orbits`: (P, D3, D4, B2) with
+
+        P  = h Freg - Rlog FL,
+        B1 = pref k (h RKk - Rlog dFL) / d1^2,   B2 = pref k h REk,
+        D3 = B1 rho^2 + B2,   D4 = B1 + B2 / rho^2 (0 on the diagonal),
+
+    pref = sqrt(r rb) / (2 pi) and Rlog = R_d + h ln(q / 4 sin^2(pi d/n)),
+    h ln(speed^2 / (4 r^2)) on the diagonal.  P, D3 and D4 end with a zero
+    sentinel for `_folded_orbits`."""
     n = bnd.n_nodes
-    rows = np.arange(n_rows)
-    ra, rb, idx, orbit = _pair_orbits(n, n_rows)
-    k, q, _, _ = _modulus(bnd.r[ra], bnd.z[ra], bnd.r[rb], bnd.z[rb])
-    factors = [f[orbit] for f in _modulus_factors(k, q)]
-    _, q, _, FL, Freg, pref, AL, Areg = _split_factors(
-        bnd.r[rows, None], bnd.z[rows, None], bnd.r, bnd.z,
-        bnd.normal_r[rows, None], bnd.normal_z[rows, None],
-        kappa_diag=bnd.curvature[rows, None], factors=factors)
     h = 2.0 * np.pi / n
-    # log weights R_|i-j| plus the trapezoid on ln(q / 4 sin^2): both
-    # kernels carry the same log factor
-    Rlog = log_quadrature_weights(n)[idx] + h * _log_factor(bnd, q, rows, idx)
-    S = (h * Freg - Rlog * FL) * (pref * bnd.speed)
-    A = (h * Areg - Rlog * AL) * bnd.speed
+    ra, rb, start, R, s2 = _pair_orbits(n)
+    r1, r2 = bnd.r[ra], bnd.r[rb]
+    k, q, d1sq, rho2 = _modulus(r1, bnd.z[ra], r2, bnd.z[rb])
+    FL, Freg, dFL, RKk, REk = _modulus_factors(k, q)
+    ratio = q / s2
+    a = np.arange(start.size)
+    ratio[start] = bnd.speed[a] ** 2 / (4.0 * bnd.r[a] ** 2)
+    Rlog = R + h * np.log(ratio)
+    pk = np.sqrt(r1 * r2) * k / (2.0 * np.pi)
+    B1 = pk * (h * RKk - Rlog * dFL) / d1sq
+    B2 = pk * h * REk
+    D3 = B1 * rho2 + B2
+    rho2[start] = 1.0
+    D4 = B1 + B2 / rho2
+    D4[start] = 0.0
+    coef = np.zeros((3, ra.size + 1))   # the last column is the sentinel
+    coef[:, :-1] = h * Freg - Rlog * FL, D3, D4
+    return (*coef, B2)
+
+
+def _gather(bnd: SmoothBoundary, maps):
+    """S and A on nodes 0..c-1 (targets and columns) from the orbit
+    coefficients: each (orbit map, sign) of `maps` adds the source
+    y = (r_j, sign z_j).  With P and D3 summed over the maps,
+
+        S_ij = P (sqrt(r_i) / 2 pi) (sqrt(r_j) speed_j),
+        A_ij = nr_i / (2 r_i) (S_ij + speed_j D3)
+               - speed_j sum_maps n_i.(x_i - y) D4,
+
+    less speed_i B2 kappa_i / 2 on the diagonal.  n_i.(x_i - y) is taken
+    per source: the sum and difference of a source and its mirror would
+    cancel near the diagonal."""
+    P, D3, D4, B2 = _orbit_coefficients(bnd)
+    c = maps[0][0].shape[0]
+    r, z, speed = bnd.r[:c], bnd.z[:c], bnd.speed[:c]
+    nr, nz = bnd.normal_r[:c, None], bnd.normal_z[:c, None]
+    nrdx = nr * (r[:, None] - r)
+    S = sum(P[orbit] for orbit, _ in maps)
+    S *= np.outer(np.sqrt(r) / (2.0 * np.pi), np.sqrt(r) * speed)
+    A = sum(D3[orbit] for orbit, _ in maps) * speed
+    A += S
+    A *= nr / (2.0 * r[:, None])
+    A -= sum((nrdx + nz * (z[:, None] - sign * z)) * D4[orbit]
+             for orbit, sign in maps) * speed
+    diag = np.diag_indices(c)
+    A[diag] -= 0.5 * speed * B2[maps[0][0][diag]] * bnd.curvature[:c]
     return S, A
+
+
+def _assemble(bnd: SmoothBoundary) -> tuple[np.ndarray, np.ndarray]:
+    """The single-layer matrix S and the principal-value normal-derivative
+    matrix A (psi = S phi, dpsi/dn = -r phi / 2 + A phi) of a mirror-even
+    density, folded: target nodes 0..n/2, and column j carries node j and
+    its mirror n - j."""
+    col, mirror = _folded_orbits(bnd.n_nodes)
+    return _gather(bnd, [(col, 1.0), (mirror, -1.0)])
+
+
+def _unfolded(bnd: SmoothBoundary) -> tuple[np.ndarray, np.ndarray]:
+    """S and A on all n target nodes and all n columns."""
+    node = np.arange(bnd.n_nodes)
+    return _gather(bnd, [(_orbit_of(bnd.n_nodes, node[:, None], node), 1.0)])
 
 
 def single_layer_matrix(bnd: SmoothBoundary) -> np.ndarray:
     """Matrix mapping nodal densities to psi at the nodes."""
-    return _assemble(bnd, bnd.n_nodes)[0]
+    return _unfolded(bnd)[0]
 
 
 def normal_derivative_matrix(bnd: SmoothBoundary) -> np.ndarray:
     """Matrix for the principal-value part of dpsi/dn on the exterior side;
     the full exterior derivative is  -r phi / 2 + (this matrix) phi."""
-    return _assemble(bnd, bnd.n_nodes)[1]
+    return _unfolded(bnd)[1]
 
 
 def _inverse_norm1(lu, n: int) -> float:
@@ -276,15 +343,11 @@ def _solve_affine(shape: CrossSection, resolution):
     n = bnd.n_nodes
     half = n // 2
     m = half + 1
-    rows = np.arange(m)
-    S, A = _assemble(bnd, m)
-    # fold column n - j onto column j, j = 1 .. n/2 - 1
-    S = S[:, :m] + np.pad(S[:, :half:-1], ((0, 0), (1, 1)))
-    A = A[:, :m] + np.pad(A[:, :half:-1], ((0, 0), (1, 1)))
+    S, A = _assemble(bnd)
     mult = np.full(m, 2.0)
     mult[[0, half]] = 1.0
-    r = bnd.r[rows]
-    w = mult * bnd.weights[rows]
+    r = bnd.r[:m]
+    w = mult * bnd.weights[:m]
 
     # (1/r) dpsi/dn = -phi/2 + (1/r) A phi; circulation row in phi:
     sys = np.zeros((m + 1, m + 1))

@@ -11,7 +11,6 @@ from bubblering.elliptic import (
     ellipke,
     ellipke_complement,
     ellip_log_split,
-    kc_minus_ec_over_q,
 )
 
 
@@ -76,6 +75,8 @@ def test_modulus_validation():
         ellipke(np.array([0.5, 1.2]))
     with pytest.raises(ModulusError):
         ellipke_complement(np.array([0.0]))
+    with pytest.raises(ModulusError):
+        ellip_log_split(np.array([0.5, 1.0]))
 
 
 def test_complement_form_accuracy():
@@ -91,7 +92,7 @@ def test_log_split_reassembles():
     # K = (1/pi) Kc ln(1/q) + RK and the E analogue, against mpmath with
     # the modulus defined exactly through q
     for q in np.logspace(-15, -0.05, 40):
-        Kc, Ec, RK, RE = ellip_log_split(np.array([q]))
+        Kc, Ec, RK, RE, _ = ellip_log_split(np.array([q]))
         L = np.log(1.0 / q)
         K = Kc[0] / np.pi * L + RK[0]
         E = (Kc[0] - Ec[0]) / np.pi * L + RE[0]
@@ -101,7 +102,7 @@ def test_log_split_reassembles():
 
 
 def test_split_pieces_are_smooth_at_zero():
-    Kc, Ec, RK, RE = ellip_log_split(np.array([0.0]))
+    Kc, Ec, RK, RE, _ = ellip_log_split(np.array([0.0]))
     assert_allclose(Kc[0], np.pi / 2, rtol=1e-15)
     assert_allclose(Ec[0], np.pi / 2, rtol=1e-15)
     assert_allclose(RK[0], 2.0 * np.log(2.0), rtol=1e-14)
@@ -109,13 +110,32 @@ def test_split_pieces_are_smooth_at_zero():
 
 
 def test_kc_minus_ec_over_q_limit():
-    vals = kc_minus_ec_over_q(np.array([0.0, 1e-12, 1e-4]))
+    vals = ellip_log_split(np.array([0.0, 1e-12, 1e-4]))[4]
     assert_allclose(vals[0], np.pi / 4, rtol=1e-15)
     assert_allclose(vals[1], np.pi / 4, rtol=1e-10)
-    # consistency across the series / direct switch
-    lo = kc_minus_ec_over_q(np.array([0.3499]))
-    hi = kc_minus_ec_over_q(np.array([0.3501]))
+    # consistency across RK's series / direct switch
+    lo = ellip_log_split(np.array([0.3499]))[4]
+    hi = ellip_log_split(np.array([0.3501]))[4]
     assert abs(lo[0] - hi[0]) < 1e-3 * abs(lo[0])
+
+
+def test_tail_sum_and_legendre_identities_against_mpmath():
+    # (K(k') - E(k'))/q from the AGM tail sum and RE from Legendre's
+    # relation, at q = 0 and on both sides of RK's series switch at 0.35
+    qs = np.concatenate([[0.0], np.logspace(-14, np.log10(0.9), 300)])
+    _, _, _, RE, kme_q = ellip_log_split(qs)
+    want_kme = np.empty_like(qs)
+    want_RE = np.empty_like(qs)
+    with mpmath.workdps(40):
+        want_kme[0], want_RE[0] = float(mpmath.pi / 4), 1.0
+        for i, q in enumerate(qs[1:], start=1):
+            q = mpmath.mpf(q)
+            Kc, Ec = mpmath.ellipk(q), mpmath.ellipe(q)
+            want_kme[i] = float((Kc - Ec) / q)
+            want_RE[i] = float(mpmath.ellipe(1 - q)
+                               - (Kc - Ec) / mpmath.pi * mpmath.log(1 / q))
+    assert_allclose(kme_q, want_kme, rtol=1e-15)
+    assert_allclose(RE, want_RE, rtol=1e-15)
 
 
 def test_pair_is_frozen_record():

@@ -91,6 +91,24 @@ def test_reflection_symmetry_of_nodes():
         assert_allclose(bnd.z[1:], -bnd.z[1:][::-1], atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("shape", [
+    Ellipse(R0=2.0, m=0.8, n=0.6),
+    Disk(R0=1.55, rho0=np.sqrt(2.0)),
+    FourierStar(R0=3.0, base=1.0, coeffs=(0.1, -0.05, 0.02)),
+], ids=["ellipse", "disk", "fourier-star"])
+def test_mirror_nodes_are_exact(shape, n):
+    # the solver's fold and pair orbits take node n - j as the exact mirror
+    # of node j; the fixed nodes t = 0 and t = pi lie on z = 0
+    bnd = boundary_nodes(shape, n)
+    mirror = -np.arange(n) % n
+    for even in (bnd.r, bnd.speed, bnd.normal_r, bnd.curvature,
+                 bnd.weights):
+        assert np.array_equal(even[mirror], even)
+    for odd in (bnd.z, bnd.normal_z):
+        assert np.array_equal(odd[mirror], -odd)
+
+
 def test_random_generators_produce_valid_shapes():
     rng = np.random.default_rng(5)
     for _ in range(20):

@@ -40,6 +40,19 @@ def test_log_weights_reproduce_fourier_integrals():
         R[0] = 0.0
 
 
+def test_log_weights_are_symmetric_and_accurate_at_512():
+    # R_d == R_{n-d} exactly, so every pair orbit has one weight; the
+    # integrals of cos(m t), sampled at reduced arguments, m = 0..n/2
+    n = 512
+    R = log_quadrature_weights(n)
+    assert np.array_equal(R[1:], R[1:][::-1])
+    j = np.arange(n)
+    for m in range(n // 2 + 1):
+        cos_mt = np.cos(2.0 * np.pi * (j * m % n) / n)
+        exact = -2.0 * np.pi / m if m else 0.0
+        assert abs(np.sum(R * cos_mt) - exact) <= 5e-15, m
+
+
 def test_manufactured_exterior_reconstruction():
     bnd, data = _filament_data(256)
     phi, bnd, cond = solve_first_kind(SHAPE, data, 256)
@@ -226,14 +239,28 @@ def test_folded_solve_matches_full_system(shape, n):
     assert abs(sol.gamma - ref["gamma"]) <= 1e-10 * abs(ref["gamma"])
 
 
+def _log_factor(bnd, q, rows, idx):
+    # ln(q / (4 sin^2((t_i - t_j)/2))) on target rows `rows`, idx = |i - j|,
+    # with the diagonal limit ln(speed^2 / (4 r^2))
+    s2 = 4.0 * np.sin(np.pi * np.arange(bnd.n_nodes) / bnd.n_nodes) ** 2
+    s2[0] = 1.0
+    ratio = q / s2[idx]
+    ratio[np.arange(rows.size), rows] = (bnd.speed[rows]**2
+                                         / (4.0 * bnd.r[rows]**2))
+    return np.log(ratio)
+
+
 @pytest.mark.parametrize("n", [128, 512])
 @_FOLD_SHAPES
 def test_assembly_matches_per_pair_kernels(shape, n):
-    # the assembly evaluates the elliptic factors once per reciprocal or
-    # mirror orbit of the point pairs; the reference evaluates the split
-    # kernels on every pair of rows 0..n/2, with the same log quadrature
+    # the assembly evaluates the kernel factors once per reciprocal or
+    # mirror orbit of the point pairs and gathers them into the folded
+    # block; the reference evaluates the split kernels on every pair of
+    # rows 0..n/2, with the same log quadrature, and folds column n - j
+    # onto column j
     bnd = boundary_nodes(shape, n)
-    m = n // 2 + 1
+    half = n // 2
+    m = half + 1
     rows = np.arange(m)
     idx = np.abs(rows[:, None] - np.arange(n)[None, :])
     tgt = (bnd.r[:m, None], bnd.z[:m, None], bnd.r, bnd.z)
@@ -243,12 +270,13 @@ def test_assembly_matches_per_pair_kernels(shape, n):
                                     kappa_diag=bnd.curvature[:m, None])
     h = 2.0 * np.pi / n
     Rlog = (log_quadrature_weights(n)[idx]
-            + h * solver._log_factor(bnd, q, rows, idx))
+            + h * _log_factor(bnd, q, rows, idx))
     S_ref = (h * Freg - Rlog * FL) * (pref * bnd.speed)
     A_ref = (h * Areg - Rlog * AL) * bnd.speed
-    S, A = solver._assemble(bnd, m)
+    S, A = solver._assemble(bnd)
     for got, ref in [(S, S_ref), (A, A_ref)]:
-        assert got.shape == (m, n)
+        ref = ref[:, :m] + np.pad(ref[:, :half:-1], ((0, 0), (1, 1)))
+        assert got.shape == (m, m)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
