@@ -240,18 +240,30 @@ def cmd_norbury_table(args) -> int:
     return EXIT_OK
 
 
+def finite_float(text: str) -> float:
+    if not np.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text}")
+    return value
+
+
 # every flag a subcommand may read; each subcommand names its own in
 # build_parser, and --out is common to all
 _FLAGS = {
     "--shape": dict(help="shape JSON file (search: family:<name>)"),
-    "--we": dict(type=float, help="Weber number"),
+    "--we": dict(type=finite_float, help="Weber number"),
     "--seed": dict(type=int, default=0),
     "--budget": dict(type=int, default=200),
     "--resolution": dict(type=int, help="boundary nodes n of each solve"),
-    "--w": dict(type=float, default=0.0, help="translation speed"),
-    "--lam": dict(type=float, default=0.0,
+    "--w": dict(type=finite_float, default=0.0, help="translation speed"),
+    "--lam": dict(type=finite_float, default=0.0,
                   help="Lagrange multiplier in the dynamic condition"),
-    "--count": dict(type=int, default=25, help="cases per suite"),
+    "--count": dict(type=positive_int, default=25, help="cases per suite"),
 }
 
 

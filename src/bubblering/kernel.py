@@ -54,7 +54,7 @@ def _pointwise(source, target):
     k, q, d1sq, rho2 = _modulus(r, z, rb, zb)
     if np.any(rho2 == 0.0):
         raise ValueError("ring kernel is singular at coincident points")
-    K, T = _agm(np.sqrt(q), k)
+    K, T, _ = _agm(np.sqrt(q), k)
     k2 = k * k
     return r, z, k, d1sq, K * T / k, K * (0.5 * k2 * (k2 + T) - T) / (k2 * q)
 
@@ -95,11 +95,14 @@ def _modulus_factors(k, q):
     modulus (k, q = 1 - k^2): (FL, Freg, dFL, RKk, REk), with dFL the log
     factor of F'(k), RKk = -2 RK / k^2 and REk = (2 - k^2) RE / k^2."""
     Kc, Ec, RK, RE, kme_q = ellip_log_split(q)
-    FL = ((2.0 / k) * Ec - k * Kc) / np.pi
-    Freg = (2.0 / k - k) * RK - (2.0 / k) * RE
-    k2 = k * k
-    dFL = (-2.0 * Kc + (2.0 - k2) * kme_q) / (np.pi * k2)
-    return FL, Freg, dFL, -2.0 * RK / k2, (2.0 - k2) * RE / k2
+    ik, ik2 = 1.0 / k, 1.0 / (k * k)
+    FL = (2.0 * ik * Ec - k * Kc) / np.pi
+    Freg = (2.0 * ik - k) * RK - 2.0 * ik * RE
+    REk = 2.0 * ik2 - 1.0      # (2 - k^2) / k^2
+    dFL = (REk * kme_q - 2.0 * ik2 * Kc) / np.pi
+    REk *= RE
+    RK *= -2.0 * ik2
+    return FL, Freg, dFL, RK, REk
 
 
 def _split_factors(r, z, rb, zb, nr=None, nz=None, kappa_diag=None):

@@ -20,13 +20,14 @@ pair (the modulus, the elliptic log split, the log-quadrature correction
 Rlog and the combined coefficients P, D3, D4 of `_orbit_coefficients`) is
 computed once per orbit of the node pairs under reciprocity
 (i, j) <-> (j, i) and the mirror (i, j) <-> (n - i, n - j), about a quarter
-of all pairs.  The matrix entries are then gathers of these coefficients
-and row and column scalings, plus the target normal's dot product with
-each source.  `solve_dirichlet` uses the mirror symmetry of every
-section: it gathers the folded block directly, target nodes 0..n/2 with
-column j carrying node j and its mirror n - j, through two orbit maps (one
-for j, one for n - j), and solves the bordered system of n/2 + 1 densities
-plus gamma, then unfolds the results to all n nodes.  The log quadrature
+of all pairs, in fixed blocks of orbit representatives.  The matrix
+entries are then gathers of these coefficients and row and column
+scalings, plus the target normal's dot product with each source.
+`solve_dirichlet` uses the mirror symmetry of every section: it gathers
+the folded block directly, target nodes 0..n/2 with column j carrying node
+j and its mirror n - j, through two orbit maps (one for j, one for n - j),
+and solves the bordered system of n/2 + 1 densities plus gamma, then
+unfolds the results to all n nodes.  The log quadrature
 weights and the orbit maps are cached per n.  The system is solved by LU;
 `condition_number` is the 1-norm condition estimate of LAPACK's dgecon
 algorithm, taken from that factorization, for the folded bordered system,
@@ -60,6 +61,7 @@ __all__ = [
 
 SOLVER_TOL = 1e-8
 MAX_CONDITION = 1e12
+_ORBIT_BLOCK = 12288   # orbit representatives per block, see below
 
 
 class SolverError(RuntimeError):
@@ -189,35 +191,45 @@ def _folded_orbits(n: int):
 
 def _orbit_coefficients(bnd: SmoothBoundary):
     """Every kernel factor that is symmetric in the point pair, once per
-    orbit representative of `_pair_orbits`: (P, D3, D4, B2) with
+    orbit representative of `_pair_orbits`: the rows (P, D3, D4, B2) of a
+    (4, m + 1) array, the last column the zero sentinel of `_folded_orbits`,
 
         P  = h Freg - Rlog FL,
         B1 = pref k (h RKk - Rlog dFL) / d1^2,   B2 = pref k h REk,
         D3 = B1 rho^2 + B2,   D4 = B1 + B2 / rho^2 (0 on the diagonal),
 
     pref = sqrt(r rb) / (2 pi) and Rlog = R_d + h ln(q / 4 sin^2(pi d/n)),
-    h ln(speed^2 / (4 r^2)) on the diagonal.  P, D3 and D4 end with a zero
-    sentinel for `_folded_orbits`."""
+    h ln(speed^2 / (4 r^2)) on the diagonal.  Computed in place from Rlog / h
+    and pref k h, in fixed blocks of _ORBIT_BLOCK representatives (so the
+    outputs depend on n alone) whose temporaries stay in cache."""
     n = bnd.n_nodes
-    h = 2.0 * np.pi / n
     ra, rb, start, R, s2 = _pair_orbits(n)
-    r1, r2 = bnd.r[ra], bnd.r[rb]
-    k, q, d1sq, rho2 = _modulus(r1, bnd.z[ra], r2, bnd.z[rb])
-    FL, Freg, dFL, RKk, REk = _modulus_factors(k, q)
-    ratio = q / s2
-    a = np.arange(start.size)
-    ratio[start] = bnd.speed[a] ** 2 / (4.0 * bnd.r[a] ** 2)
-    Rlog = R + h * np.log(ratio)
-    pk = np.sqrt(r1 * r2) * k / (2.0 * np.pi)
-    B1 = pk * (h * RKk - Rlog * dFL) / d1sq
-    B2 = pk * h * REk
-    D3 = B1 * rho2 + B2
-    rho2[start] = 1.0
-    D4 = B1 + B2 / rho2
-    D4[start] = 0.0
-    coef = np.zeros((3, ra.size + 1))   # the last column is the sentinel
-    coef[:, :-1] = h * Freg - Rlog * FL, D3, D4
-    return (*coef, B2)
+    m = ra.size
+    coef = np.zeros((4, m + 1))
+    for lo in range(0, m, _ORBIT_BLOCK):
+        blk = slice(lo, min(lo + _ORBIT_BLOCK, m))
+        P, D3, D4, B2 = coef[:, blk]
+        i, j = ra[blk], rb[blk]
+        k, q, d1sq, rho2 = _modulus(bnd.r[i], bnd.z[i], bnd.r[j], bnd.z[j])
+        FL, Freg, dFL, B1, REk = _modulus_factors(k, q)    # B1 = RKk
+        a0, a1 = np.searchsorted(start, (lo, blk.stop))
+        diag = start[a0:a1] - lo     # the diagonal pairs (a, a) of the block
+        lg = np.divide(q, s2[blk], out=q)
+        lg[diag] = bnd.speed[a0:a1] ** 2 / (4.0 * bnd.r[a0:a1] ** 2)
+        np.log(lg, out=lg)
+        lg += R[blk] * (n / (2.0 * np.pi))      # Rlog / h
+        Freg -= np.multiply(FL, lg, out=FL)
+        np.multiply(Freg, 2.0 * np.pi / n, out=P)
+        pkh = np.sqrt(bnd.r[i] * bnd.r[j]) * (k / n)
+        np.multiply(pkh, REk, out=B2)
+        B1 -= np.multiply(dFL, lg, out=dFL)
+        B1 *= pkh
+        B1 /= d1sq
+        np.add(np.multiply(B1, rho2, out=D3), B2, out=D3)
+        rho2[diag] = 1.0
+        np.add(np.divide(B2, rho2, out=D4), B1, out=D4)
+        D4[diag] = 0.0
+    return coef
 
 
 def _gather(bnd: SmoothBoundary, maps):

@@ -56,6 +56,28 @@ def test_unread_flag_is_rejected(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--shape", "{shape}", "--we", "nan"],
+    ["solve", "--shape", "{shape}", "--we", "inf"],
+    ["solve", "--shape", "{shape}", "--we", "1", "--lam", "nan"],
+    ["solve", "--shape", "{shape}", "--we", "1", "--w", "nan"],
+    ["bound", "--shape", "{shape}", "--we", "nan"],
+    ["bound", "--shape", "{shape}", "--we", "inf"],
+    ["search", "--shape", "family:thick-disk", "--we", "inf"],
+    ["verify-lemmas", "--count", "0"],
+], ids=["solve-we-nan", "solve-we-inf", "solve-lam-nan", "solve-w-nan",
+        "bound-we-nan", "bound-we-inf", "search-we-inf", "lemmas-count-0"])
+def test_non_finite_number_or_empty_count_is_rejected(tmp_path, argv):
+    # a NaN or infinite Weber number, speed or multiplier, and a suite of
+    # zero cases, are usage errors: exit 2 before any output is opened
+    shape = _write_shape(tmp_path, THICK_DISK)
+    out = tmp_path / "a.json"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(shape=shape) for a in argv] + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_shape_file_resolution_key_is_ignored(tmp_path):
     # a shape carries no node count; old files with the key still load
     plain = _write_shape(tmp_path, ELLIPSE, "plain.json")

@@ -113,29 +113,45 @@ def test_kc_minus_ec_over_q_limit():
     vals = ellip_log_split(np.array([0.0, 1e-12, 1e-4]))[4]
     assert_allclose(vals[0], np.pi / 4, rtol=1e-15)
     assert_allclose(vals[1], np.pi / 4, rtol=1e-10)
-    # consistency across RK's series / direct switch
+    # continuity across q = 0.35
     lo = ellip_log_split(np.array([0.3499]))[4]
     hi = ellip_log_split(np.array([0.3501]))[4]
     assert abs(lo[0] - hi[0]) < 1e-3 * abs(lo[0])
 
 
-def test_tail_sum_and_legendre_identities_against_mpmath():
-    # (K(k') - E(k'))/q from the AGM tail sum and RE from Legendre's
-    # relation, at q = 0 and on both sides of RK's series switch at 0.35
-    qs = np.concatenate([[0.0], np.logspace(-14, np.log10(0.9), 300)])
-    _, _, _, RE, kme_q = ellip_log_split(qs)
-    want_kme = np.empty_like(qs)
-    want_RE = np.empty_like(qs)
+def _mp_split(q):
+    # ((K(k') - E(k'))/q, RK, RE) at 40 digits, k'^2 = q, with
+    # RK = K(k) - K(k') ln(1/q) / pi, RE = E(k) - (K(k') - E(k')) ln(1/q) / pi
+    if q == 0.0:
+        return np.pi / 4, 2.0 * np.log(2.0), 1.0
     with mpmath.workdps(40):
-        want_kme[0], want_RE[0] = float(mpmath.pi / 4), 1.0
-        for i, q in enumerate(qs[1:], start=1):
-            q = mpmath.mpf(q)
-            Kc, Ec = mpmath.ellipk(q), mpmath.ellipe(q)
-            want_kme[i] = float((Kc - Ec) / q)
-            want_RE[i] = float(mpmath.ellipe(1 - q)
-                               - (Kc - Ec) / mpmath.pi * mpmath.log(1 / q))
-    assert_allclose(kme_q, want_kme, rtol=1e-15)
-    assert_allclose(RE, want_RE, rtol=1e-15)
+        q = mpmath.mpf(q)
+        Kc, Ec = mpmath.ellipk(q), mpmath.ellipe(q)
+        L = mpmath.log(1 / q) / mpmath.pi
+        return (float((Kc - Ec) / q), float(mpmath.ellipk(1 - q) - Kc * L),
+                float(mpmath.ellipe(1 - q) - (Kc - Ec) * L))
+
+
+def test_tail_sum_and_legendre_identities_against_mpmath():
+    # (K(k') - E(k'))/q from the AGM tail sum, RK from the AGM's nome sum
+    # and RE from Legendre's relation, at q = 0 and 300 log-spaced points
+    qs = np.concatenate([[0.0], np.logspace(-14, np.log10(0.9), 300)])
+    _, _, RK, RE, kme_q = ellip_log_split(qs)
+    want = np.array([_mp_split(q) for q in qs])
+    assert_allclose(kme_q, want[:, 0], rtol=1e-15)
+    assert_allclose(RK, want[:, 1], rtol=1e-15)
+    assert_allclose(RE, want[:, 2], rtol=1e-15)
+
+
+def test_regular_parts_near_q_one_against_mpmath():
+    # 60 points in (0.9, 1 - 1e-15]: RK ~ pi/2 there while the nome sum
+    # that gives it tends to 0, so its absolute error of a few eps shows
+    qs = 1.0 - np.logspace(-1, -15, 61)[1:]
+    _, _, RK, RE, kme_q = ellip_log_split(qs)
+    want = np.array([_mp_split(q) for q in qs])
+    assert_allclose(kme_q, want[:, 0], rtol=5e-15)
+    assert_allclose(RK, want[:, 1], rtol=5e-15)
+    assert_allclose(RE, want[:, 2], rtol=5e-15)
 
 
 def test_pair_is_frozen_record():

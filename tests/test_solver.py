@@ -280,6 +280,25 @@ def test_assembly_matches_per_pair_kernels(shape, n):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("shape", [_NEAR_AXIS, Ellipse(R0=2.0, m=0.8, n=0.6)],
+                         ids=["near-axis-disk", "ellipse"])
+def test_orbit_blocks_leave_the_coefficients_unchanged(monkeypatch, shape):
+    # the orbit coefficients are computed in blocks of representatives;
+    # blocks of 566 at n = 512 put diagonal pairs (a, a), a >= 1, at the
+    # first, second and last place of a block
+    n = 512
+    bnd = boundary_nodes(shape, n)
+    _, rb, start, _, _ = solver._pair_orbits(n)
+    assert {0, 1, 565} <= set(start[1:] % 566)
+    monkeypatch.setattr(solver, "_ORBIT_BLOCK", 566)
+    blocked = solver._orbit_coefficients(bnd)
+    monkeypatch.setattr(solver, "_ORBIT_BLOCK", rb.size)
+    whole = solver._orbit_coefficients(bnd)
+    assert blocked.shape == whole.shape == (4, rb.size + 1)
+    for got, want in zip(blocked, whole):   # P, D3, D4, B2
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_condition_gate_refuses_solves(monkeypatch):
     monkeypatch.setattr(solver, "MAX_CONDITION", 10.0)
     with pytest.raises(SolverError):
