@@ -1,14 +1,15 @@
 """Explicit low-Weber non-existence certificate.
 
-For a normalized cross-section (|E| = 2 pi, so a = 1 and mu = R) the
-admissible Weber numbers of a translating ring with nonnegative relative
-vorticity obey  sqrt(We) >= u + v  with
+Lengths are in units of a = sqrt(|E| / 2 pi), so R below reads mu = R/a;
+the section may have any scale.  The admissible Weber numbers of a
+translating ring with nonnegative relative vorticity obey
+sqrt(We) >= u + v  with
 
     u = sqrt(2 b* / r_max) |S(b*)|,        b* = pi/(36 R^2)  (R > sqrt(pi)/6)
                                            b* = 1/2          (otherwise)
     v = 2 sqrt(lambda) h,                  4 lambda h^2 >= delta_+ (Bernoulli)
 
-where |S(b)| is the length of the boundary set with n.e_r >= b, h the half
+where |S(b)| is the length of the boundary set with n.e_r > b, h the half
 height, and delta = int r^-2 dA - 2 pi.  Squaring via (u+v)^2 >= u^2 + v^2
 gives  We >= term_curvature + term_bernoulli.  Two variants are reported:
 
@@ -41,12 +42,10 @@ __all__ = [
     "universal_bound",
     "verdict",
     "norbury_scaling_probe",
-    "NORMALIZATION_TOL",
     "RULED_OUT",
     "NOT_RULED_OUT",
 ]
 
-NORMALIZATION_TOL = 1e-10
 RULED_OUT = "RuledOut"
 NOT_RULED_OUT = "NotRuledOut"
 
@@ -64,15 +63,13 @@ class BoundCertificate:
     term_curvature: float           # universal curvature term u^2
     term_bernoulli: float           # universal delta term v^2
     we_min: float                   # universal bound: sum of the two terms
-    term_curvature_measured: float | None
-    term_bernoulli_measured: float | None
-    we_min_measured: float | None
+    term_curvature_measured: float
+    term_bernoulli_measured: float
+    we_min_measured: float
     mu_area_convention: float       # mu in the R/sqrt(|E|) convention
 
     @property
     def best(self) -> float:
-        if self.we_min_measured is None:
-            return self.we_min
         return max(self.we_min, self.we_min_measured)
 
     def verdict(self, we: float, is_thick: bool) -> str:
@@ -90,7 +87,7 @@ class BoundCertificate:
                 "term_bernoulli": self.term_bernoulli,
                 "we_min": self.we_min,
             },
-            "measured": None if self.we_min_measured is None else {
+            "measured": {
                 "term_curvature": self.term_curvature_measured,
                 "term_bernoulli": self.term_bernoulli_measured,
                 "we_min": self.we_min_measured,
@@ -113,35 +110,30 @@ def _universal_terms(R: float, delta: float) -> tuple[float, str, float, float]:
 
 def universal_bound(mu: float, delta: float) -> float:
     """Shape-free lower bound from (mu, delta) alone (normalized units)."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise ValueError("mu must be finite and positive")
     _, _, u2, v2 = _universal_terms(mu, delta)
     return u2 + v2
 
 
 def explicit_bound(report: GeometryReport,
-                   shape: CrossSection | None = None) -> BoundCertificate:
-    """Certificate from a normalized geometry report.
+                   shape: CrossSection) -> BoundCertificate:
+    """Certificate of a cross-section of any scale from its geometry report.
 
-    If the originating shape is supplied, the sharper measured variant is
-    computed as well: r_max, h and Delta R = r_max - r_min come from the
-    report, and the shape supplies only |S(b*)|.
+    mu and delta are scale invariant; r_max, h and Delta R = r_max - r_min
+    come from the report and |S(b*)| from the shape, each divided by the
+    report's length scale a.
     """
-    if abs(report.area - 2.0 * np.pi) > NORMALIZATION_TOL:
-        raise ValueError(
-            f"certificate needs a normalized shape (|E| = 2 pi); "
-            f"got area {report.area!r} — call geometry.normalize first")
-    R = report.R
+    R = report.mu
     delta = report.delta
     b, branch, u2, v2 = _universal_terms(R, delta)
 
-    u2m = v2m = wem = None
-    if shape is not None:
-        s_b = surface_set_length(shape, b)
-        h, dR = report.height_h, report.r_max - report.r_min
-        u2m = 2.0 * b * s_b**2 / report.r_max
-        v2m = 4.0 * max(delta, 0.0) * h**2 / (4.0 * h + 2.0 * dR)
-        wem = u2m + v2m
+    s_b = surface_set_length(shape, b) / report.a
+    r_max, h = report.r_max / report.a, report.height_h / report.a
+    dR = (report.r_max - report.r_min) / report.a
+    u2m = 2.0 * b * s_b**2 / r_max
+    v2m = 4.0 * max(delta, 0.0) * h**2 / (4.0 * h + 2.0 * dR)
+    wem = u2m + v2m
 
     return BoundCertificate(
         mu=R,
@@ -160,8 +152,8 @@ def explicit_bound(report: GeometryReport,
 
 def verdict(cert: BoundCertificate, we: float, is_thick: bool) -> str:
     """RuledOut iff the shape is thick and we falls below the certificate."""
-    if we <= 0:
-        raise ValueError("Weber number must be positive")
+    if not 0 < we < np.inf:
+        raise ValueError("Weber number must be finite and positive")
     if is_thick and we < cert.best:
         return RULED_OUT
     return NOT_RULED_OUT

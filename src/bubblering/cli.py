@@ -89,6 +89,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_bound(args) -> int:
     shape = _load(args)
+    # explicit_bound takes any scale, but the report is that of the
+    # normalized copy `solve` works on: the rounding of the copy's
+    # parameters alone moves delta by up to 3e-10 on eps/R0 = 1e-4 disks
     scaled, a = _normalized(shape)
     rep = geometry_report(scaled)
     cert = explicit_bound(rep, shape=scaled)

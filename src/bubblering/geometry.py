@@ -137,57 +137,31 @@ def _polygon_integrals(bnd: PolygonBoundary) -> dict:
     }
 
 
-def _extremum(fun, dfun, t_nodes, values, maximize: bool) -> float:
-    """Refine a grid extremum of a smooth periodic function by root-finding
-    on its derivative."""
-    i = int(np.argmax(values) if maximize else np.argmin(values))
-    n = t_nodes.size
-    t0 = t_nodes[(i - 1) % n]
-    t1 = t_nodes[(i + 1) % n]
-    if t1 < t0:
-        t1 += 2.0 * np.pi
-    d0, d1 = dfun(t0), dfun(t1)
-    if d0 == 0.0:
-        return float(fun(t0))
-    if d1 == 0.0 or np.sign(d0) == np.sign(d1):
-        return float(values[i])
-    ts = brentq(dfun, t0, t1, xtol=1e-14)
-    return float(fun(ts))
+def _normal_crossing(shape: CrossSection, b: float) -> float:
+    """The one t in (0, pi) where n_r = b on a smooth kind: on a convex
+    z-symmetric section n_r falls from 1 at t = 0 to -1 at t = pi."""
+
+    def nr_minus_b(t):
+        (dr, dz), _ = shape.derivs(t)
+        return dz / np.hypot(dr, dz) - b
+
+    return brentq(nr_minus_b, 0.0, np.pi, xtol=1e-14)
 
 
 def _extrema(shape: CrossSection) -> tuple[float, float, float]:
-    """(r_max, r_min, h) of a cross-section: vertex extremes of a polygon,
-    the closed form of an ellipse, else a grid search refined beyond the
-    grid."""
+    """(r_max, r_min, h) of a cross-section: vertex extremes of a polygon;
+    on a smooth kind r_max and r_min lie on z = 0, at t = 0 and t = pi, and
+    h is the ellipse's n or z where n_r = 0 on the upper half."""
     if isinstance(shape, Polygon):
         v = np.asarray(shape.vertices, dtype=float)
         return (float(np.max(v[:, 0])), float(np.min(v[:, 0])),
                 float(np.max(np.abs(v[:, 1]))))
+    (r_max, r_min), _ = shape.point(np.array([0.0, np.pi]))
     if isinstance(shape, Ellipse):
-        return (float(shape.R0 + shape.m), float(shape.R0 - shape.m),
-                float(shape.n))
-    t = 2.0 * np.pi * np.arange(2048) / 2048
-
-    def r_of(tt):
-        return shape.point(tt)[0]
-
-    def z_of(tt):
-        return shape.point(tt)[1]
-
-    def dr_of(tt):
-        return shape.derivs(tt)[0][0]
-
-    def dz_of(tt):
-        return shape.derivs(tt)[0][1]
-
-    rv = r_of(t)
-    zv = z_of(t)
-    r_max = _extremum(r_of, dr_of, t, rv, maximize=True)
-    r_min = -_extremum(
-        lambda tt: -r_of(tt), lambda tt: -dr_of(tt), t, -rv, maximize=True
-    )
-    h = _extremum(z_of, dz_of, t, zv, maximize=True)
-    return r_max, r_min, h
+        h = shape.n
+    else:
+        h = shape.point(_normal_crossing(shape, 0.0))[1]
+    return float(r_max), float(r_min), float(h)
 
 
 def _report_from_integrals(ints: dict, shape: CrossSection, resolution: int,
@@ -259,9 +233,10 @@ def width_height(shape: CrossSection) -> tuple[float, float]:
 def surface_set_length(shape: CrossSection, b: float) -> float:
     """Arc length of S(b) = {x in boundary : n(x) . e_r > b}.
 
-    Smooth kinds locate the crossings of n_r = b in the parameter and
-    integrate the speed over the resulting arcs; polygons sum the lengths
-    of edges whose constant normal clears the threshold.
+    On a smooth kind n_r falls from 1 at t = 0 to -1 at t = pi, so S(b) is
+    the one arc |t| < t_b around the outermost point: twice the speed
+    integrated over [0, t_b].  Polygons sum the lengths of edges whose
+    constant normal clears the threshold.
     """
     if not 0.0 <= b < 1.0:
         raise ValueError("threshold b must lie in [0, 1)")
@@ -269,39 +244,15 @@ def surface_set_length(shape: CrossSection, b: float) -> float:
         bnd = boundary_nodes(shape)
         return float(np.sum(bnd.edge_lengths[bnd.edge_normal_r > b]))
 
-    bnd = boundary_nodes(shape, 1024)
-
-    def nr_minus_b(t):
-        (dr, dz), _ = shape.derivs(np.asarray(t))
-        return dz / np.hypot(dr, dz) - b
+    # checks the convexity and z -> -z symmetry the one arc rests on
+    boundary_nodes(shape, 1024)
 
     def speed(t):
-        (dr, dz), _ = shape.derivs(np.asarray(t))
+        (dr, dz), _ = shape.derivs(t)
         return np.hypot(dr, dz)
 
-    # node i brackets a crossing if f vanishes there or changes sign by
-    # i+1; f is evaluated at the same points as brentq's bracket ends, so
-    # the two see the same signs
-    t = np.append(bnd.t, 2.0 * np.pi)
-    f = nr_minus_b(t)
-    crossings = []
-    for i in np.flatnonzero((f[:-1] == 0) | ((f[:-1] > 0) != (f[1:] > 0))):
-        if f[i] == 0.0:
-            crossings.append(t[i])
-        else:
-            crossings.append(brentq(nr_minus_b, t[i], t[i + 1], xtol=1e-14))
-    if not crossings:
-        return bnd.perimeter if f[0] > 0 else 0.0
-    total = 0.0
-    crossings = sorted(crossings)
-    for i, t0 in enumerate(crossings):
-        t1 = crossings[(i + 1) % len(crossings)]
-        if t1 <= t0:
-            t1 += 2.0 * np.pi
-        tm = 0.5 * (t0 + t1)
-        if nr_minus_b(tm % (2.0 * np.pi)) > 0:
-            total += fixed_quad(speed, t0, t1, n=60)[0]
-    return float(total)
+    return 2.0 * float(fixed_quad(speed, 0.0, _normal_crossing(shape, b),
+                                  n=60)[0])
 
 
 def outer_radius_ratio(shape: CrossSection) -> float:

@@ -190,8 +190,8 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
     """
     if isinstance(family, str):
         family = family_from_name(family)
-    if we <= 0:
-        raise ValueError("Weber number must be positive")
+    if not 0 < we < np.inf:
+        raise ValueError("Weber number must be finite and positive")
     if budget < 1:
         raise ValueError("budget must be >= 1")
 

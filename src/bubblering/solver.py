@@ -434,8 +434,10 @@ def dynamic_residual(shape: CrossSection, sol: BoundarySolution,
     boundary integral, and the integrated violation of the sign condition
     dPsi/dn <= 0 for the co-moving stream function.
     """
-    if we <= 0:
-        raise ValueError("Weber number must be positive")
+    if not 0 < we < np.inf:
+        raise ValueError("Weber number must be finite and positive")
+    if not np.isfinite(lam):
+        raise ValueError("Lagrange multiplier lam must be finite")
     if isinstance(shape, Polygon):
         raise SolverError("dynamic residual needs pointwise curvature; "
                           "polygons are geometry-only")
@@ -473,8 +475,8 @@ def optimal_W_lam(shape: CrossSection, we: float,
     minimum is among the real critical points of both quartics and those
     roots.
     """
-    if we <= 0:
-        raise ValueError("Weber number must be positive")
+    if not 0 < we < np.inf:
+        raise ValueError("Weber number must be finite and positive")
     bnd, cond, cols = _solve_affine(shape, resolution)
     w = bnd.weights
     dn_psi = cols[2]

@@ -56,10 +56,25 @@ def test_bound_positive_and_monotone_grid():
     assert np.all(np.diff(grid, axis=1) >= -1e-15)  # nondecreasing in delta
 
 
-def test_certificate_requires_normalized_shape():
-    rep = geometry_report(Disk(R0=2.0, rho0=0.5))
-    with pytest.raises(ValueError):
-        explicit_bound(rep)
+@pytest.mark.parametrize("factor", [0.37, 4.2])
+@pytest.mark.parametrize("shape", [
+    Disk(R0=2.0, rho0=0.5),
+    Polygon(vertices=((1.0, -0.5), (2.0, -0.8), (2.5, 0.0), (2.0, 0.8),
+                      (1.0, 0.5))),
+    FourierStar(R0=3.0, base=1.0, coeffs=(0.0, 0.05, -0.02)),
+], ids=["disk", "polygon", "fourier"])
+def test_certificate_is_scale_invariant(shape, factor):
+    # lengths are in units of a, so any scale gives the normalized
+    # copy's certificate
+    unit = _normalized(shape)
+    ref = explicit_bound(geometry_report(unit), unit)
+    scaled = unit.scaled(factor)
+    cert = explicit_bound(geometry_report(scaled), scaled)
+    for name in ("mu", "delta", "we_min", "we_min_measured",
+                 "term_curvature_measured", "term_bernoulli_measured",
+                 "best"):
+        assert_allclose(getattr(cert, name), getattr(ref, name),
+                        rtol=1e-12, err_msg=name)
 
 
 @pytest.mark.parametrize("shape", [

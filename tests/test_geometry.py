@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -127,6 +128,18 @@ def test_outer_radius_random_polygons():
         assert outer_radius_ratio(random_convex_polygon(rng)) <= 3.0 + 1e-10
 
 
+def _ellipse_arc_mpmath(m, n, b):
+    # S(b) on (R0 + m cos t, n sin t) is |t| < t_b, cos t_b = b m /
+    # sqrt(n^2 (1 - b^2) + b^2 m^2); with k^2 = 1 - n^2/m^2 its length is
+    # 2 m (E(k^2) - E(pi/2 - t_b | k^2))
+    with mpmath.workdps(30):
+        m, n, b = mpmath.mpf(m), mpmath.mpf(n), mpmath.mpf(b)
+        k2 = 1 - n**2 / m**2
+        t_b = mpmath.acos(b * m / mpmath.sqrt(n**2 * (1 - b**2) + b**2 * m**2))
+        return float(2 * m * (mpmath.ellipe(k2)
+                              - mpmath.ellipe(mpmath.pi / 2 - t_b, k2)))
+
+
 def test_surface_set_length_disk():
     # S(b) on a circle: n_r = cos t > b on an arc of length 2 rho acos(b)
     shape = Disk(R0=2.0, rho0=0.7)
@@ -136,6 +149,12 @@ def test_surface_set_length_disk():
     rep = geometry_report(shape)
     assert_allclose(surface_set_length(shape, 0.0), rep.perimeter / 2,
                     rtol=1e-9)
+    # tall, moderate and 20:1 flat ellipses against the closed form
+    for R0, m, n in [(3.0, 0.3, 2.0), (3.0, 1.2, 0.6), (5.0, 2.0, 0.1)]:
+        for b in [0.0, 0.01, 0.3, 0.9]:
+            assert_allclose(surface_set_length(Ellipse(R0=R0, m=m, n=n), b),
+                            _ellipse_arc_mpmath(m, n, b), rtol=1e-11,
+                            err_msg=f"m={m}, n={n}, b={b}")
 
 
 @pytest.mark.parametrize("shape", [

@@ -3,8 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bubblering import solver
+from bubblering.certify import explicit_bound, universal_bound, verdict
+from bubblering.geometry import geometry_report
 from bubblering.kernel import (gradient_split, kernel_split, ring_kernel,
                                ring_kernel_gradient)
+from bubblering.search import residual_minimize
 from bubblering.shapes import (Disk, Ellipse, FourierStar, Polygon,
                                boundary_nodes)
 from bubblering.solver import (
@@ -195,6 +198,24 @@ def test_residual_requires_positive_we():
     sol = solve_dirichlet(SHAPE, 0.0, 64)
     with pytest.raises(ValueError):
         dynamic_residual(SHAPE, sol, we=-1.0, lam=0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verdict(explicit_bound(geometry_report(SHAPE), SHAPE), np.nan,
+                    True),
+    lambda: universal_bound(np.nan, 1.0),
+    lambda: dynamic_residual(SHAPE, solve_dirichlet(SHAPE, 0.0, 64),
+                             we=np.nan, lam=0.0),
+    lambda: dynamic_residual(SHAPE, solve_dirichlet(SHAPE, 0.0, 64),
+                             we=1.0, lam=np.nan),
+    lambda: solver.optimal_W_lam(SHAPE, np.nan, 64),
+    lambda: residual_minimize("thick-disk", np.nan, budget=1),
+], ids=["verdict-we", "universal_bound-mu", "dynamic_residual-we",
+        "dynamic_residual-lam", "optimal_W_lam-we", "residual_minimize-we"])
+def test_nan_argument_is_rejected(call):
+    # NaN passes a plain `x <= 0` check; the library refuses it up front
+    with pytest.raises(ValueError, match="finite"):
+        call()
 
 
 def _full_system_solve(shape, W, n):
