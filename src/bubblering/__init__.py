@@ -3,10 +3,13 @@
 Geometry functionals and inequalities of convex meridional sections, an
 exterior stream-function boundary-integral solver with circulation
 normalization, residual probes of the overdetermined dynamic condition,
-and an explicit low-Weber non-existence certificate.
+and an explicit low-Weber non-existence certificate.  The solver's ring
+kernel reads the complete elliptic integrals only through their
+logarithmic split (`elliptic.ellip_log_split`), from one
+arithmetic-geometric mean; the package exports no general K(k), E(k).
 """
 
-from .elliptic import EllipticPair, ModulusError, complete_elliptic, ellipke
+from .elliptic import ModulusError
 from .shapes import (
     CrossSection,
     Disk,

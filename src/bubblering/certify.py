@@ -72,9 +72,6 @@ class BoundCertificate:
     def best(self) -> float:
         return max(self.we_min, self.we_min_measured)
 
-    def verdict(self, we: float, is_thick: bool) -> str:
-        return verdict(self, we, is_thick)
-
     def to_dict(self) -> dict:
         return {
             "mu": self.mu,

@@ -1,21 +1,21 @@
-"""Complete elliptic integrals K(k), E(k) via the arithmetic-geometric mean.
+"""Logarithmic split of the complete elliptic integrals for the ring kernel.
 
-Self-contained: no scipy.special.  One AGM, (a, b, c)_0 = (1, k', k) with
-c_{n+1} = c_n^2 / (4 a_{n+1}) (Abramowitz & Stegun 17.6), gives
+Self-contained: no scipy.special.  The axisymmetric ring kernel needs K(k)
+and E(k) near k = 1, where both carry a log singularity.  With
+q = k'^2 = 1 - k^2, `ellip_log_split` gives the split
+
+    K(k) = (1/pi) K(k') ln(1/q) + RK(q)
+    E(k) = (1/pi) (K(k') - E(k')) ln(1/q) + RE(q),
+
+with RK, RE analytic on [0, 1); the Nystrom quadrature integrates the log
+part exactly.  All five of its values come from one arithmetic-geometric
+mean, `_agm`: started at (a, b, c)_0 = (1, k', k) with
+c_{n+1} = c_n^2 / (4 a_{n+1}) (Abramowitz & Stegun 17.6), it gives
 
     K = pi / (2 a_inf),   E = K (1 - k^2/2 - T/2),   T = sum_{n>=1} 2^n c_n^2,
 
-a tail sum T of positive terms.  The module also exposes the logarithmic
-splitting
-
-    K(k) = (1/pi) K(k') ln(1/q) + RK(q)
-    E(k) = (1/pi) (K(k') - E(k')) ln(1/q) + RE(q),      q = k'^2 = 1 - k^2,
-
-with RK, RE analytic on [0, 1).  The split isolates the log singularity of
-the axisymmetric ring kernel at coincident points, which is what the
-Nystrom quadrature needs.  One AGM, started at (1, k, k') (modulus
-sqrt(q)), gives all five values of `ellip_log_split`: Kc = K(k'),
-Ec = E(k') and, free of cancellation,
+a tail sum T of positive terms.  Started at (1, k, k') (modulus sqrt(q))
+it gives Kc = K(k'), Ec = E(k') and, free of cancellation,
 
     (Kc - Ec) / q = Kc (1 + T/q) / 2          (T/q -> 0 as q -> 0),
     RK = (Kc/pi) sum_{n>=0} 2^(1-n) ln(2 a_{n+1} / a_n),
@@ -26,37 +26,20 @@ squares at each Landen step, so ln(1/q~) telescopes to ln(1/q) plus a sum
 of positive terms (2 a_{n+1}/a_n = 1 + b_n/a_n lies in (1, 2]); after N
 converged steps the rest is 2^(2-N) ln 2, and RK(0) = 2 ln 2.  RE is
 Legendre's relation E Kc + Ec K - K Kc = pi/2, the log parts cancelling.
+The kernel's off-boundary values read K and T of the same `_agm`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "EllipticPair",
-    "ModulusError",
-    "complete_elliptic",
-    "ellipke",
-    "ellipke_complement",
-    "ellip_log_split",
-]
+__all__ = ["ModulusError", "ellip_log_split"]
 
 _EPS = np.finfo(float).eps
 
 
 class ModulusError(ValueError):
     """Modulus outside [0, 1); K diverges at k = 1."""
-
-
-@dataclass(frozen=True)
-class EllipticPair:
-    """Values of the first and second complete elliptic integrals."""
-
-    k: float
-    K: float
-    E: float
 
 
 def _agm(b0, c0):
@@ -84,28 +67,6 @@ def _agm(b0, c0):
     return np.pi / (2.0 * a), T, np.log(2.0 * P) * (4.0 / pow2)
 
 
-def ellipke(k):
-    """Vectorized K(k), E(k) for k in [0, 1) by the AGM iteration."""
-    k = np.asarray(k, dtype=float)
-    if np.any(k < 0) or np.any(k >= 1):
-        raise ModulusError("modulus must satisfy 0 <= k < 1")
-    K, T, _ = _agm(np.sqrt((1.0 - k) * (1.0 + k)), k)
-    return K, K * (1.0 - 0.5 * k * k - 0.5 * T)
-
-
-def ellipke_complement(q):
-    """K(k), E(k) with the modulus given through q = 1 - k^2.
-
-    Seeding the AGM with b0 = sqrt(q) avoids the 1 - k cancellation that
-    ruins accuracy when k is rounded to 1.
-    """
-    q = np.asarray(q, dtype=float)
-    if np.any(q <= 0) or np.any(q > 1):
-        raise ModulusError("complement must satisfy 0 < q <= 1")
-    K, T, _ = _agm(np.sqrt(q), np.sqrt(1.0 - q))
-    return K, K * (0.5 * (1.0 + q) - 0.5 * T)
-
-
 def ellip_log_split(q):
     """Return (Kc, Ec, RK, RE, KmE_q) for q = k'^2 in [0, 1).
 
@@ -127,12 +88,3 @@ def ellip_log_split(q):
     RE /= Kc
     return Kc, Ec, RK, RE, kme_q
 
-
-def complete_elliptic(k: float) -> EllipticPair:
-    """K(k) and E(k) for a scalar modulus k in [0, 1); relative error
-    <= 1e-13 down to k = 1 - 1e-8."""
-    k = float(k)
-    if not 0.0 <= k < 1.0:
-        raise ModulusError(f"modulus must satisfy 0 <= k < 1, got {k}")
-    K, E = ellipke(np.array([k]))
-    return EllipticPair(k=k, K=float(K[0]), E=float(E[0]))

@@ -52,7 +52,6 @@ class ShapeFamily:
     """
 
     name: str = "family"
-    param_names: tuple = ()
     initial: tuple = ()
     bounds: tuple | None = None
 
@@ -65,7 +64,6 @@ class ThickDiskFamily(ShapeFamily):
     the thick window (sqrt 2, sqrt(8/3)]."""
 
     name = "thick-disk"
-    param_names = ("R0",)
     initial = (1.55,)
     bounds = ((_SQRT2, _DISK_R0_MAX),)
 
@@ -81,7 +79,6 @@ class EllipseFamily(ShapeFamily):
     """Ellipses (R0, m, n), rescaled so the area is exactly 2 pi."""
 
     name = "ellipse"
-    param_names = ("R0", "m", "n")
     initial = (2.0, 1.0, 1.2)
 
     def make_shape(self, params) -> Ellipse:
@@ -99,7 +96,6 @@ class FourierFamily(ShapeFamily):
     R0, rescaled to area 2 pi; parameters (R0, base, c2, c3, ...)."""
 
     name = "fourier"
-    param_names = ("R0", "base", "c2", "c3")
     initial = (2.0, 1.0, 0.0, 0.0)
 
     def make_shape(self, params) -> FourierStar:

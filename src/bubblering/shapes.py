@@ -9,7 +9,9 @@ polygons carry exact per-edge data instead.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -56,9 +58,11 @@ class Ellipse(CrossSection):
     n: float = 1.0
 
     def validate(self) -> None:
-        if self.m <= 0 or self.n <= 0:
+        if not all(map(math.isfinite, (self.R0, self.m, self.n))):
+            raise InvalidShapeError("ellipse parameters must be finite")
+        if not (self.m > 0 and self.n > 0):
             raise InvalidShapeError("ellipse semi-axes must be positive")
-        if self.R0 - self.m <= 0:
+        if not self.R0 - self.m > 0:
             raise InvalidShapeError(
                 f"curve touches the axis: r_min = {self.R0 - self.m} <= 0"
             )
@@ -106,6 +110,8 @@ class FourierStar(CrossSection):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
     def validate(self) -> None:
+        if not all(map(math.isfinite, (self.R0, self.base, *self.coeffs))):
+            raise InvalidShapeError("fourier-star parameters must be finite")
         if self.base <= 0:
             raise InvalidShapeError("fourier-star base radius must be positive")
         if sum(abs(c) for c in self.coeffs) >= self.base:
@@ -157,6 +163,8 @@ class Polygon(CrossSection):
     def validate(self) -> None:
         if len(self.vertices) < 3:
             raise InvalidShapeError("polygon needs at least 3 vertices")
+        if not all(math.isfinite(x) for v in self.vertices for x in v):
+            raise InvalidShapeError("polygon vertices must be finite")
 
     def scaled(self, factor: float) -> "Polygon":
         return replace(
@@ -348,23 +356,53 @@ def shape_to_dict(shape: CrossSection) -> dict:
     return {"kind": kind, "params": params}
 
 
+def _number(value, name: str):
+    """`value` itself if it is a JSON number, else InvalidShapeError."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidShapeError(
+            f"shape parameter {name} must be a number, got {value!r}")
+    return value
+
+
+def _numbers(values, name: str) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise InvalidShapeError(
+            f"shape parameter {name} must be a list, got {values!r}")
+    return tuple(_number(v, name) for v in values)
+
+
 def shape_from_dict(d: dict) -> CrossSection:
+    if not isinstance(d, dict):
+        raise InvalidShapeError("shape file must hold a JSON object")
     try:
         kind = d["kind"]
         params = d["params"]
     except KeyError as exc:
         raise InvalidShapeError(f"shape file misses field {exc}") from exc
+    if not isinstance(params, dict):
+        raise InvalidShapeError("shape field 'params' must be a JSON object")
+
+    def num(key):
+        return _number(params[key], key)
+
     try:
         if kind == "disk":
-            return Disk(R0=params["R0"], rho0=params["rho0"])
+            return Disk(R0=num("R0"), rho0=num("rho0"))
         if kind == "ellipse":
-            return Ellipse(R0=params["R0"], m=params["m"], n=params["n"])
+            return Ellipse(R0=num("R0"), m=num("m"), n=num("n"))
         if kind == "fourier-star":
-            return FourierStar(R0=params["R0"], base=params["base"],
-                               coeffs=tuple(params.get("coeffs", ())))
+            return FourierStar(R0=num("R0"), base=num("base"),
+                               coeffs=_numbers(params.get("coeffs", ()),
+                                               "coeffs"))
         if kind == "polygon":
-            return Polygon(
-                vertices=tuple(tuple(v) for v in params["vertices"]))
+            vertices = params["vertices"]
+            if not isinstance(vertices, (list, tuple)) or any(
+                    not isinstance(v, (list, tuple)) or len(v) != 2
+                    for v in vertices):
+                raise InvalidShapeError(
+                    "polygon vertices must be a list of (r, z) pairs")
+            return Polygon(vertices=tuple(_numbers(v, "vertices")
+                                          for v in vertices))
     except KeyError as exc:
         raise InvalidShapeError(
             f"shape kind {kind!r} misses parameter {exc}"

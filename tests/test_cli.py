@@ -143,6 +143,50 @@ def test_malformed_shape_is_validation_error(tmp_path, capsys):
     assert main(["analyze", "--shape", touching]) == 2
 
 
+NON_FINITE = {
+    "disk": {"kind": "disk", "params": {"R0": float("nan"), "rho0": 1.0}},
+    "ellipse": {"kind": "ellipse",
+                "params": {"R0": float("inf"), "m": 1.0, "n": 1.0}},
+    "fourier-star": {"kind": "fourier-star",
+                     "params": {"R0": 3.0, "base": 1.0,
+                                "coeffs": [0.0, float("nan")]}},
+    "polygon": {"kind": "polygon",
+                "params": {"vertices": [[1.0, -0.5], [2.0, -0.5],
+                                        [2.0, 0.5], [float("nan"), 0.5]]}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_FINITE))
+@pytest.mark.parametrize("argv", [["analyze"], ["bound", "--we", "0.1"],
+                                  ["solve", "--we", "1",
+                                   "--resolution", "64"]])
+def test_non_finite_shape_parameter_is_validation_error(tmp_path, capsys,
+                                                        kind, argv):
+    # json reads NaN and Infinity; they are exit 2 with no output file
+    shape = _write_shape(tmp_path, NON_FINITE[kind])
+    out = tmp_path / "a.json"
+    assert main([*argv, "--shape", shape, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    {"kind": "disk", "params": [1, 2]},
+    {"kind": "disk", "params": {"R0": "abc", "rho0": 1.0}},
+    {"kind": "fourier-star", "params": {"R0": 3.0, "base": 1.0,
+                                        "coeffs": None}},
+    {"kind": "fourier-star", "params": {"R0": 3.0, "base": 1.0,
+                                        "coeffs": 0.1}},
+])
+def test_malformed_shape_type_is_validation_error(tmp_path, payload):
+    shape = _write_shape(tmp_path, payload)
+    out = tmp_path / "a.json"
+    for argv in (["analyze"], ["bound"], ["solve", "--we", "1"]):
+        assert main([*argv, "--shape", shape, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 def test_polygon_solve_is_solver_failure(tmp_path):
     shape = _write_shape(tmp_path, SQUARE)
     assert main(["solve", "--shape", shape, "--we", "1.0"]) == 3

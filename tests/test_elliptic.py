@@ -4,14 +4,7 @@ from numpy.testing import assert_allclose
 
 import mpmath
 
-from bubblering.elliptic import (
-    EllipticPair,
-    ModulusError,
-    complete_elliptic,
-    ellipke,
-    ellipke_complement,
-    ellip_log_split,
-)
+from bubblering.elliptic import ModulusError, _agm, ellip_log_split
 
 
 def mp_KE(k):
@@ -28,10 +21,17 @@ def mp_KE_from_q(q):
         return float(mpmath.ellipk(m)), float(mpmath.ellipe(m))
 
 
+def agm_KE(k):
+    # K = K of the AGM seeded (k', k), E = K (1 - k^2/2 - T/2)
+    k = np.asarray(k, dtype=float)
+    K, T, _ = _agm(np.sqrt((1.0 - k) * (1.0 + k)), k)
+    return K, K * (1.0 - 0.5 * k * k - 0.5 * T)
+
+
 def test_special_values():
-    pair = complete_elliptic(0.0)
-    assert_allclose(pair.K, np.pi / 2, rtol=1e-15)
-    assert_allclose(pair.E, np.pi / 2, rtol=1e-15)
+    K, E = agm_KE(0.0)
+    assert_allclose(K, np.pi / 2, rtol=1e-15)
+    assert_allclose(E, np.pi / 2, rtol=1e-15)
 
 
 def test_against_mpmath_grid():
@@ -40,19 +40,10 @@ def test_against_mpmath_grid():
         1.0 - np.logspace(-2, -8, 13),
     ])
     for k in ks:
-        K, E = mp_KE(k)
-        pair = complete_elliptic(k)
-        assert_allclose(pair.K, K, rtol=5e-14)
-        assert_allclose(pair.E, E, rtol=5e-14)
-
-
-def test_vectorized_matches_scalar():
-    k = np.linspace(0.0, 0.97, 40)
-    K, E = ellipke(k)
-    for i, ki in enumerate(k):
-        pair = complete_elliptic(ki)
-        assert_allclose(K[i], pair.K, rtol=1e-13)
-        assert_allclose(E[i], pair.E, rtol=1e-13)
+        Km, Em = mp_KE(k)
+        K, E = agm_KE(k)
+        assert_allclose(K, Km, rtol=5e-14)
+        assert_allclose(E, Em, rtol=5e-14)
 
 
 def test_legendre_relation_random():
@@ -60,32 +51,28 @@ def test_legendre_relation_random():
     rng = np.random.default_rng(7)
     k = rng.uniform(1e-6, 1.0 - 1e-6, 1000)
     kp = np.sqrt((1.0 - k) * (1.0 + k))
-    K, E = ellipke(k)
-    Kp, Ep = ellipke(kp)
+    K, E = agm_KE(k)
+    Kp, Ep = agm_KE(kp)
     lhs = K * Ep + E * Kp - K * Kp
     assert_allclose(lhs, np.pi / 2, rtol=1e-12)
 
 
 def test_modulus_validation():
     with pytest.raises(ModulusError):
-        complete_elliptic(1.0)
-    with pytest.raises(ModulusError):
-        complete_elliptic(-0.1)
-    with pytest.raises(ModulusError):
-        ellipke(np.array([0.5, 1.2]))
-    with pytest.raises(ModulusError):
-        ellipke_complement(np.array([0.0]))
-    with pytest.raises(ModulusError):
         ellip_log_split(np.array([0.5, 1.0]))
+    with pytest.raises(ModulusError):
+        ellip_log_split(np.array([-1e-3]))
 
 
 def test_complement_form_accuracy():
-    # q parameterization must stay accurate where 1 - k underflows detail
+    # the seed of kernel._pointwise: b0 = sqrt(q) keeps the digits that
+    # 1 - k loses when k is rounded to 1
     for q in [1e-14, 1e-10, 1e-6, 1e-3, 0.5, 1.0]:
-        K, E = ellipke_complement(np.array([q]))
+        K, T, _ = _agm(np.sqrt(q), np.sqrt(1.0 - q))
+        E = K * (0.5 * (1.0 + q) - 0.5 * T)
         Km, Em = mp_KE_from_q(q)
-        assert_allclose(K[0], Km, rtol=1e-13)
-        assert_allclose(E[0], Em, rtol=1e-13)
+        assert_allclose(K, Km, rtol=1e-13)
+        assert_allclose(E, Em, rtol=1e-13)
 
 
 def test_log_split_reassembles():
@@ -153,8 +140,3 @@ def test_regular_parts_near_q_one_against_mpmath():
     assert_allclose(RK, want[:, 1], rtol=5e-15)
     assert_allclose(RE, want[:, 2], rtol=5e-15)
 
-
-def test_pair_is_frozen_record():
-    pair = EllipticPair(k=0.5, K=1.0, E=1.0)
-    with pytest.raises(Exception):
-        pair.K = 2.0

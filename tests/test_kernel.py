@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bubblering.elliptic import _agm
 from bubblering.kernel import (
+    _modulus,
     gradient_split,
     kernel_split,
     ring_kernel,
@@ -44,10 +46,13 @@ def _mp_kernel(rb, zb, r, z):
 def test_against_mpmath_along_a_line():
     # source (1, 0), targets (1, z): k runs from about 2e-4 (far field) to
     # 1 - 1e-11 (near the filament); derivatives by mpmath's own
-    # differentiation of the 40-digit kernel
+    # differentiation of the 40-digit kernel.  z = 1e-9 and 1e-12 put the
+    # AGM seed sqrt(q) below 1e-8, outside the range where `_agm` bounds
+    # its nome sum (which the kernel discards); their reference needs 60
+    # digits
     one = mpmath.mpf(1)
-    with mpmath.workdps(40):
-        for z in np.logspace(-5.0, 4.0, 60):
+    for z in np.concatenate([[1e-12, 1e-9], np.logspace(-5.0, 4.0, 60)]):
+        with mpmath.workdps(60 if z < 1e-5 else 40):
             zm = mpmath.mpf(float(z))
             G = _mp_kernel(one, 0, one, zm)
             Gr = mpmath.diff(lambda r: _mp_kernel(one, 0, r, zm), one)
@@ -57,6 +62,25 @@ def test_against_mpmath_along_a_line():
             gr, gz = ring_kernel_gradient((1.0, 0.0), (1.0, z))
             assert_allclose(gr, float(Gr), rtol=1e-14)
             assert_allclose(gz, float(Gz), rtol=1e-14)
+
+
+def test_batch_with_overflowing_nome_product_matches_pointwise():
+    # one call along the line of the mpmath test, down to z = 1e-30: the
+    # AGM runs until its slowest seed (sqrt(q) ~ 5e-31) converges, and the
+    # far targets' nome products overflow meanwhile.  They are discarded
+    # under np.errstate (pytest turns a RuntimeWarning into an error), so
+    # every value equals that of its own call
+    zs = np.concatenate([[1e-30, 1e-15, 1e-12, 1e-9],
+                         np.logspace(-5.0, 4.0, 60)])
+    target = (np.ones_like(zs), zs)
+    k, q, _, _ = _modulus(*target, 1.0, 0.0)
+    assert np.isinf(_agm(np.sqrt(q), k)[2]).any()
+    G = ring_kernel((1.0, 0.0), target)
+    gr, gz = ring_kernel_gradient((1.0, 0.0), target)
+    for i, z in enumerate(zs):
+        assert_allclose(G[i], ring_kernel((1.0, 0.0), (1.0, z)), rtol=1e-15)
+        assert_allclose((gr[i], gz[i]),
+                        ring_kernel_gradient((1.0, 0.0), (1.0, z)), rtol=1e-15)
 
 
 def test_gradient_matches_finite_differences():

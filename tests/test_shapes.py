@@ -149,6 +149,54 @@ def test_malformed_shape_file_messages(tmp_path):
         shape_from_dict({"params": {}})
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("shape", [
+    Ellipse(R0=NAN, m=1.0, n=1.0),
+    Ellipse(R0=INF, m=1.0, n=1.0),
+    Ellipse(R0=3.0, m=NAN, n=1.0),
+    Ellipse(R0=3.0, m=1.0, n=-INF),
+    Disk(R0=NAN, rho0=1.0),
+    Disk(R0=2.0, rho0=NAN),
+    FourierStar(R0=NAN, base=1.0),
+    FourierStar(R0=3.0, base=INF),
+    FourierStar(R0=3.0, base=1.0, coeffs=(0.0, NAN)),
+    Polygon(vertices=((1.0, -1.0), (2.0, -1.0), (2.0, 1.0), (NAN, 1.0))),
+    Polygon(vertices=((1.0, -1.0), (INF, 0.0), (1.0, 1.0))),
+])
+def test_non_finite_parameters_rejected(shape):
+    with pytest.raises(InvalidShapeError, match="finite"):
+        shape.validate()
+    with pytest.raises(InvalidShapeError, match="finite"):
+        boundary_nodes(shape, 64)
+
+
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    "disk",
+    {"kind": "disk", "params": [1, 2]},
+    {"kind": "disk", "params": None},
+    {"kind": "disk", "params": {"R0": "abc", "rho0": 1.0}},
+    {"kind": "disk", "params": {"R0": True, "rho0": 1.0}},
+    {"kind": "ellipse", "params": {"R0": 3.0, "m": [1.0], "n": 1.0}},
+    {"kind": "fourier-star", "params": {"R0": 3.0, "base": 1.0,
+                                        "coeffs": None}},
+    {"kind": "fourier-star", "params": {"R0": 3.0, "base": 1.0,
+                                        "coeffs": 0.1}},
+    {"kind": "fourier-star", "params": {"R0": 3.0, "base": 1.0,
+                                        "coeffs": ["0.1"]}},
+    {"kind": "polygon", "params": {"vertices": 3}},
+    {"kind": "polygon", "params": {"vertices": [[1, -1, 0], [2, -1], [2, 1]]}},
+    {"kind": "polygon", "params": {"vertices": [[1, -1], [2, "x"], [2, 1]]}},
+])
+def test_malformed_shape_file_types(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvalidShapeError):
+        load_shape(path)
+
+
 def test_scaled_preserves_kind():
     disk = Disk(R0=2.0, rho0=0.5).scaled(2.0)
     assert isinstance(disk, Disk)
