@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -59,7 +60,10 @@ def _payload(args, report: dict, resolution) -> dict:
 
 
 def _emit(args, payload: dict) -> None:
-    _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # strict JSON: a NaN or infinity is a ValueError (exit 2) before any
+    # file is opened
+    _write(args, json.dumps(payload, indent=2, sort_keys=True,
+                            allow_nan=False) + "\n")
 
 
 def _write(args, text: str) -> None:
@@ -201,13 +205,13 @@ def _suite_rows(seed: int, count: int):
         violations += sum(c < 0 for c in checks)
     suites.append(("proof-chain", count, margin, violations == 0))
 
-    # small-R sections have nonnegative delta
+    # small-R sections have nonnegative delta; no margin if none is small-R
     violations = 0
-    margin = np.inf
+    margin = None
     for _ in range(count):
         rep = geometry_report(random_smooth_shape(rng))
         if 2 * np.pi * rep.R**2 <= rep.area:
-            margin = min(margin, rep.delta)
+            margin = rep.delta if margin is None else min(margin, rep.delta)
             if rep.delta < -1e-10:
                 violations += 1
     suites.append(("small-R-nonnegative-delta", count, margin, violations == 0))
@@ -218,7 +222,8 @@ def cmd_verify_lemmas(args) -> int:
     suites = _suite_rows(args.seed, args.count)
     report = {
         "suites": [
-            {"name": name, "cases": cases, "worst_margin": float(margin),
+            {"name": name, "cases": cases,
+             "worst_margin": None if margin is None else float(margin),
              "passed": bool(ok)}
             for name, cases, margin, ok in suites
         ],
@@ -270,7 +275,10 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; each parse_args call fills a
+    fresh Namespace, so no call sees another's values."""
     parser = argparse.ArgumentParser(
         prog="bubblering",
         description="Geometry, stream solves and low-Weber certificates "

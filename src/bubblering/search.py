@@ -12,6 +12,11 @@ Nelder-Mead runs over the shape parameters only.  Families renormalize to
 area 2 pi, so all runs live in normalized units (a = 1, beta = 1).  Shapes
 outside the admissible region (axis touched, convexity lost) or refused by
 the solver score inf and are logged as penalized.
+
+Bounded Nelder-Mead asks for the same point more than once (a reflection
+clipped onto a bound is re-evaluated until the simplex collapses), so the
+objective remembers each distinct parameter vector: a repeat costs no
+solve, but still counts toward the budget and gets its own log row.
 """
 
 from __future__ import annotations
@@ -137,6 +142,7 @@ class SearchResult:
     best_shape: CrossSection | None
     best_report: ResidualReport | None
     n_evaluations: int
+    n_solves: int
     log: list = field(default_factory=list)
 
     LOG_FIELDS = ("eval", "params", "W", "lam", "dyn_residual_l2",
@@ -154,6 +160,7 @@ class SearchResult:
             "best_lam": self.best_lam,
             "best_residual": self.best_residual,
             "n_evaluations": self.n_evaluations,
+            "n_solves": self.n_solves,
             "best_report": None if self.best_report is None
             else self.best_report.to_dict(),
         }
@@ -180,9 +187,12 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
 
     (W, lambda) are exact per shape (`optimal_W_lam`, one solve); a bounded
     Nelder-Mead from a `seed`-ed simplex searches the shape parameters, and
-    is deterministic for fixed seed and budget.  budget counts evaluations,
-    each one solve or one rejected shape; budget = 1 returns the initial
-    candidate's residual.
+    is deterministic for fixed seed and budget.  budget counts evaluations;
+    budget = 1 returns the initial candidate's residual.  Each distinct
+    parameter vector (exact bytes, so 0.0 and -0.0 differ) costs one solve
+    or one rejected shape; an evaluation that repeats a vector logs a copy
+    of its first row, with its own eval number, and solves nothing.
+    n_solves counts the distinct vectors.
     """
     if isinstance(family, str):
         family = family_from_name(family)
@@ -193,13 +203,22 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
 
     x0 = np.array(family.initial, dtype=float)
     log: list[dict] = []
+    first: dict[bytes, dict] = {}   # exact bytes of x -> its first entry
+
+    def score(entry):
+        return np.inf if entry["penalized"] else entry["dyn_residual_l2"]
 
     def objective(x):
+        key = np.asarray(x, dtype=float).tobytes()
+        if key in first:
+            log.append(dict(first[key], eval=len(log) + 1))
+            return score(log[-1])
         entry = {"eval": len(log) + 1, "params": tuple(float(p) for p in x),
                  "W": np.nan, "lam": np.nan, "dyn_residual_l2": np.nan,
                  "dyn_residual_max": np.nan, "identity_gap": np.nan,
                  "penalized": True, "shape": None, "report": None}
         log.append(entry)
+        first[key] = entry
         try:
             shape = family.make_shape(entry["params"])
             sol, W, lam = optimal_W_lam(shape, we, resolution)
@@ -211,9 +230,6 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
                      identity_gap=rep.identity_gap, penalized=False,
                      shape=shape, report=rep)
         return rep.dyn_residual_l2
-
-    def score(entry):
-        return np.inf if entry["penalized"] else entry["dyn_residual_l2"]
 
     rng = np.random.default_rng(seed)
     # reproducible nondegenerate initial simplex around x0; Nelder-Mead
@@ -238,5 +254,6 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
         best_shape=best["shape"],
         best_report=best["report"],
         n_evaluations=len(log),
+        n_solves=len(first),
         log=log,
     )

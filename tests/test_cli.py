@@ -199,6 +199,7 @@ def test_search_writes_incumbent_and_log(tmp_path):
                  "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["report"]["n_evaluations"] <= 10
+    assert 1 <= payload["report"]["n_solves"] <= 10
     assert payload["report"]["best_shape"]["kind"] == "disk"
     log = (tmp_path / "search.json.log.csv").read_text().splitlines()
     assert log[0].startswith("eval,params,W,lam,dyn_residual_l2")
@@ -218,6 +219,61 @@ def test_verify_lemmas_deterministic(tmp_path):
         "outer-radius-ratio", "proof-chain"}
     for suite in report["suites"]:
         assert suite["cases"] > 0
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def test_verify_lemmas_without_small_r_case_has_null_margin(tmp_path):
+    # seed 42 samples no small-R section: the suite checked nothing
+    out = tmp_path / "lemmas.json"
+    assert main(["verify-lemmas", "--seed", "42", "--count", "5",
+                 "--out", str(out)]) == 0
+    suites = {s["name"]: s for s in _strict_json(out)["report"]["suites"]}
+    assert suites["small-R-nonnegative-delta"]["worst_margin"] is None
+    assert suites["small-R-nonnegative-delta"]["passed"]
+
+
+def test_non_finite_report_is_validation_error(tmp_path, capsys):
+    # finite parameters whose geometry overflows: exit 2, no output file
+    shape = _write_shape(tmp_path, {"kind": "disk",
+                                    "params": {"R0": 1e308, "rho0": 1e307}})
+    out = tmp_path / "a.json"
+    with np.errstate(all="ignore"):
+        assert main(["analyze", "--shape", shape, "--out", str(out)]) == 2
+    assert "JSON compliant" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parser_built_once_keeps_defaults_per_call(tmp_path):
+    # the cached parser fills a fresh Namespace per call: nothing read by
+    # one subcommand leaks into the next
+    from bubblering.cli import build_parser
+
+    assert build_parser() is build_parser()
+    shape = _write_shape(tmp_path, THICK_DISK)
+    solve = ["solve", "--shape", shape, "--we", "1.0"]
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    assert main(solve + ["--out", str(first)]) == 0
+    search = tmp_path / "search.json"
+    assert main(["search", "--shape", "family:thick-disk", "--we", "0.5",
+                 "--budget", "3", "--seed", "9", "--out", str(search)]) == 0
+    assert main(["bound", "--shape", shape, "--we", "0.1",
+                 "--out", str(tmp_path / "bound.json")]) == 0
+    unread = tmp_path / "unread.json"
+    with pytest.raises(SystemExit) as exc:
+        main(solve + ["--budget", "5", "--out", str(unread)])
+    assert exc.value.code == 2
+    assert not unread.exists()
+    assert main(solve + ["--out", str(again)]) == 0
+    assert first.read_bytes() == again.read_bytes()
+    assert _strict_json(first)["resolution"] == 512
+    assert _strict_json(search)["resolution"] == 128
 
 
 def test_solve_output_independent_of_cached_tables(tmp_path):

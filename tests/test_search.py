@@ -5,12 +5,13 @@ from numpy.testing import assert_allclose
 from bubblering.search import (
     EllipseFamily,
     FourierFamily,
+    ShapeFamily,
     ThickDiskFamily,
     family_from_name,
     residual_minimize,
 )
 from bubblering.geometry import geometry_report
-from bubblering.shapes import InvalidShapeError
+from bubblering.shapes import Disk, InvalidShapeError
 
 
 def test_families_produce_normalized_shapes():
@@ -114,3 +115,77 @@ def test_thick_disk_floor_converges_within_small_budget():
     assert small.best_residual == large.best_residual
     assert small.best_params == large.best_params
     assert small.n_evaluations < 100
+
+
+def test_each_distinct_point_is_solved_once(monkeypatch):
+    from bubblering import search
+
+    calls = []
+    real = search.optimal_W_lam
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "optimal_W_lam", counted)
+    res = residual_minimize("thick-disk", we=0.5, budget=100, seed=2026,
+                            resolution=128)
+    distinct = {row["params"] for row in res.log}
+    assert len(calls) == res.n_solves == len(distinct) < res.n_evaluations
+    assert res.to_dict()["n_solves"] == res.n_solves
+    # a repeat is its first row again, with its own eval number
+    first = {}
+    for row in res.log:
+        seen = first.setdefault(row["params"], row)
+        assert {k: v for k, v in row.items() if k != "eval"} == {
+            k: v for k, v in seen.items() if k != "eval"}
+    assert [row["eval"] for row in res.log] == list(
+        range(1, res.n_evaluations + 1))
+
+
+class _CountingFamily(ShapeFamily):
+    """One parameter; a disk for p >= 0, rejected below; counts builds."""
+
+    name = "counting"
+    initial = (0.0,)
+
+    def __init__(self):
+        self.built = []
+
+    def make_shape(self, params):
+        self.built.append(params)
+        if params[0] < 0:
+            raise InvalidShapeError("rejected")
+        return Disk(R0=1.55, rho0=np.sqrt(2.0))
+
+
+def _scripted_search(monkeypatch, points, family):
+    # stand-in optimizer that asks for the given points in order
+    from bubblering import search
+
+    def scripted(fun, x0, **kwargs):
+        for p in points:
+            fun(np.array([p]))
+
+    monkeypatch.setattr(search, "minimize", scripted)
+    return residual_minimize(family, we=0.5, budget=len(points),
+                             resolution=32)
+
+
+def test_penalized_repeat_is_not_rebuilt(monkeypatch):
+    family = _CountingFamily()
+    res = _scripted_search(monkeypatch, [-1.0, -1.0, 0.5, -1.0], family)
+    assert family.built == [(-1.0,), (0.5,)]
+    assert res.n_evaluations == 4 and res.n_solves == 2
+    assert [row["penalized"] for row in res.log] == [True, True, False, True]
+    assert res.best_params == (0.5,)
+
+
+def test_bit_different_points_are_separate_solves(monkeypatch):
+    # 0.0 == -0.0 as floats, but they are different parameter vectors
+    family = _CountingFamily()
+    res = _scripted_search(monkeypatch, [0.0, -0.0, 0.0], family)
+    assert [np.signbit(p[0]) for p in family.built] == [False, True]
+    assert res.n_evaluations == 3 and res.n_solves == 2
+    assert res.log[2]["report"] is res.log[0]["report"]
+    assert res.log[1]["report"] is not res.log[0]["report"]
