@@ -31,9 +31,8 @@ from . import __version__
 from .shapes import (DEFAULT_RESOLUTION, Ellipse, InvalidShapeError,
                      boundary_nodes, load_shape, random_convex_polygon,
                      random_smooth_shape, shape_to_dict)
-from .geometry import (PhysicalParams, QuadratureError, geometry_report,
-                       outer_radius_ratio, normalize, surface_set_length,
-                       ellipse_inv_r2_integral)
+from .geometry import (QuadratureError, geometry_report, outer_radius_ratio,
+                       normalize, surface_set_length, ellipse_inv_r2_integral)
 from .solver import SolverError, dynamic_residual, solve_dirichlet
 from .search import SEARCH_RESOLUTION, residual_minimize, family_from_name
 from .certify import (_universal_terms, explicit_bound, norbury_scaling_probe,
@@ -81,7 +80,8 @@ def _load(args):
 
 
 def _normalized(shape):
-    return normalize(shape, PhysicalParams(rho=1.0, sigma=1.0, beta=1.0))
+    scaled, a = normalize(shape, None)
+    return scaled, a, geometry_report(scaled)
 
 
 def cmd_analyze(args) -> int:
@@ -93,11 +93,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_bound(args) -> int:
     shape = _load(args)
-    # explicit_bound takes any scale, but the report is that of the
+    # explicit_bound takes any scale, but the one report is that of the
     # normalized copy `solve` works on: the rounding of the copy's
     # parameters alone moves delta by up to 3e-10 on eps/R0 = 1e-4 disks
-    scaled, a = _normalized(shape)
-    rep = geometry_report(scaled)
+    scaled, a, rep = _normalized(shape)
     cert = explicit_bound(rep, shape=scaled)
     out = cert.to_dict()
     out["scale_factor_a"] = a
@@ -113,7 +112,8 @@ def cmd_solve(args) -> int:
     if args.we is None:
         raise InvalidShapeError("solve needs --we")
     shape = _load(args)
-    scaled, _ = _normalized(shape)
+    # the report is the input gate (QuadratureError on an unresolved section)
+    scaled, _, _ = _normalized(shape)
     sol = solve_dirichlet(scaled, args.w, args.resolution)
     rep = dynamic_residual(scaled, sol, args.we, args.lam)
     out = {"solution": sol.to_dict(), "residual": rep.to_dict()}
@@ -188,9 +188,7 @@ def _suite_rows(seed: int, count: int):
     violations = 0
     margin = np.inf
     for _ in range(count):
-        shape = random_smooth_shape(rng)
-        scaled, _ = _normalized(shape)
-        rep = geometry_report(scaled)
+        scaled, _, rep = _normalized(random_smooth_shape(rng))
         R = rep.R
         h, dR = rep.height_h, rep.r_max - rep.r_min
         b = _universal_terms(R, rep.delta)[0]

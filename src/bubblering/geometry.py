@@ -5,15 +5,15 @@ the thickness measure delta = int_E r^-2 - 2pi, total mean curvature of the
 torus surface, the max-r / centroid ratio, surface sets S(b), the Weber
 number and the normalization to area 2pi.
 
-All area integrals are reduced to boundary integrals by the divergence
-theorem (d/dr(-1/r) = 1/r^2, d/dr(r^2/2) = r), so one quadrature serves
-everything: spectral trapezoid on smooth curves, exact edge formulas on
-polygons.
+The report's area integrals are reduced to boundary integrals by the
+divergence theorem (d/dr(-1/r) = 1/r^2, d/dr(r^2/2) = r), so one
+quadrature serves them all: spectral trapezoid on smooth curves, exact edge
+formulas on polygons.  `normalize` reads each kind's closed-form `area`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 from scipy.integrate import fixed_quad
@@ -22,6 +22,7 @@ from scipy.optimize import brentq
 from .shapes import (
     CrossSection,
     Ellipse,
+    InvalidShapeError,
     Polygon,
     PolygonBoundary,
     SmoothBoundary,
@@ -171,7 +172,7 @@ def _report_from_integrals(ints: dict, shape: CrossSection, resolution: int,
     a = np.sqrt(area / (2.0 * np.pi))
     delta = ints["inv_r2"] - 2.0 * np.pi
     r_max, r_min, h = _extrema(shape)
-    return GeometryReport(
+    rep = GeometryReport(
         area=area,
         R=R,
         a=float(a),
@@ -186,14 +187,21 @@ def _report_from_integrals(ints: dict, shape: CrossSection, resolution: int,
         quad_error=quad_error,
         resolution=resolution,
     )
+    for f in fields(rep):
+        if not np.isfinite(value := getattr(rep, f.name)):
+            raise InvalidShapeError(f"report field {f.name} is {value}: "
+                                    "the shape's scale over- or underflows")
+    return rep
 
 
+@np.errstate(all="ignore")   # _report_from_integrals refuses non-finite fields
 def geometry_report(shape: CrossSection) -> GeometryReport:
     """All scalar functionals of a cross-section.
 
     Smooth kinds double the node count from DEFAULT_RESOLUTION until two
     successive delta values agree to 1e-9 relative (capped at 8192);
-    polygons are exact.
+    polygons are exact.  A non-finite field (a scale that over- or
+    underflows) raises InvalidShapeError naming it.
     """
     if isinstance(shape, Polygon):
         ints = _polygon_integrals(boundary_nodes(shape))
@@ -278,14 +286,22 @@ def weber_number(params: PhysicalParams, area: float) -> float:
     )
 
 
-def normalize(shape: CrossSection, params: PhysicalParams):
+def normalize(shape: CrossSection, params: PhysicalParams | None):
     """(scaled, a): the shape rescaled to area 2 pi (so a = 1) and the
     length scale a = sqrt(|E| / 2 pi) that was divided out.  delta and mu
     are scale invariant.
 
-    The scale depends on the shape alone; `params` does not enter it."""
-    rep = geometry_report(shape)
-    return shape.scaled(1.0 / rep.a), rep.a
+    |E| is the kind's closed-form `area`: no boundary is sampled.  A
+    non-finite, non-positive or subnormal (digits lost) area raises
+    InvalidShapeError.  `params` does not enter the scale."""
+    shape.validate()
+    area = shape.area
+    if not (np.isfinite(area) and area >= np.finfo(float).tiny):
+        raise InvalidShapeError(
+            f"area {area:.3g} is not a positive normal float "
+            "(clockwise polygon, or a scale that over- or underflows)")
+    a = float(np.sqrt(area / (2.0 * np.pi)))
+    return shape.scaled(1.0 / a), a
 
 
 # ---------------------------------------------------------------------------

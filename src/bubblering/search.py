@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .shapes import (CrossSection, Disk, Ellipse, FourierStar,
-                     InvalidShapeError, boundary_nodes)
+from .geometry import normalize
+from .shapes import CrossSection, Disk, Ellipse, FourierStar, InvalidShapeError
 from .solver import (ResidualReport, SolverError, dynamic_residual,
                      optimal_W_lam)
 
@@ -88,12 +88,7 @@ class EllipseFamily(ShapeFamily):
 
     def make_shape(self, params) -> Ellipse:
         R0, m, n = (float(p) for p in params)
-        if m <= 0 or n <= 0 or R0 <= m:
-            raise InvalidShapeError(
-                "ellipse family needs m, n > 0 and R0 > m "
-                f"(axis clearance), got {params}")
-        s = np.sqrt(2.0 / (m * n))
-        return Ellipse(R0=R0 * s, m=m * s, n=n * s)
+        return normalize(Ellipse(R0=R0, m=m, n=n), None)[0]
 
 
 class FourierFamily(ShapeFamily):
@@ -107,14 +102,8 @@ class FourierFamily(ShapeFamily):
         R0, base = float(params[0]), float(params[1])
         # FourierStar numbers its coefficients from j = 1: c1 = 0
         coeffs = (0.0, *(float(c) for c in params[2:]))
-        if base <= 0:
-            raise InvalidShapeError(f"fourier family needs base > 0, got {base}")
-        raw = FourierStar(R0=R0, base=base, coeffs=coeffs)
-        boundary_nodes(raw, 64)  # validates convexity / axis clearance
-        # area (1/2) int rho^2 dt = pi (base^2 + sum c_j^2 / 2)
-        s = np.sqrt(2.0 / (base**2 + 0.5 * sum(c * c for c in coeffs)))
-        return FourierStar(R0=R0 * s, base=base * s,
-                           coeffs=tuple(c * s for c in coeffs))
+        return normalize(FourierStar(R0=R0, base=base, coeffs=coeffs),
+                         None)[0]
 
 
 _FAMILIES = {f.name: f for f in (ThickDiskFamily, EllipseFamily, FourierFamily)}

@@ -67,6 +67,10 @@ class Ellipse(CrossSection):
                 f"curve touches the axis: r_min = {self.R0 - self.m} <= 0"
             )
 
+    @property
+    def area(self) -> float:
+        return math.pi * self.m * self.n
+
     def point(self, t):
         return self.R0 + self.m * np.cos(t), self.n * np.sin(t)
 
@@ -117,6 +121,12 @@ class FourierStar(CrossSection):
         if sum(abs(c) for c in self.coeffs) >= self.base:
             raise InvalidShapeError("fourier-star radius may vanish (sum |c_j| >= base)")
 
+    @property
+    def area(self) -> float:
+        """(1/2) int rho^2 dt: the cos(j t) are orthogonal."""
+        return math.pi * (self.base * self.base
+                          + 0.5 * sum(c * c for c in self.coeffs))
+
     def _rho(self, t):
         rho = np.full_like(np.asarray(t, dtype=float), self.base)
         d1 = np.zeros_like(rho)
@@ -165,6 +175,12 @@ class Polygon(CrossSection):
             raise InvalidShapeError("polygon needs at least 3 vertices")
         if not all(math.isfinite(x) for v in self.vertices for x in v):
             raise InvalidShapeError("polygon vertices must be finite")
+
+    @property
+    def area(self) -> float:
+        """Shoelace area; negative for clockwise vertices."""
+        r, z = np.asarray(self.vertices, dtype=float).T
+        return 0.5 * float(np.sum(r * np.roll(z, -1) - np.roll(r, -1) * z))
 
     def scaled(self, factor: float) -> "Polygon":
         return replace(
@@ -252,10 +268,7 @@ def _check_smooth(shape, bnd: SmoothBoundary) -> None:
         raise InvalidShapeError(
             f"curve touches the axis: r_min = {np.min(bnd.r):.3g} <= 0"
         )
-    area = float(np.sum(bnd.r * bnd.normal_r * bnd.weights))
-    if area <= 0:
-        raise InvalidShapeError("enclosed area is not positive (orientation?)")
-    a = np.sqrt(area / (2.0 * np.pi))
+    a = np.sqrt(shape.area / (2.0 * np.pi))
     if np.min(bnd.curvature) < -CONVEXITY_TOL / a:
         raise InvalidShapeError(
             f"curve is not convex: min curvature {np.min(bnd.curvature):.3g}"
@@ -282,9 +295,7 @@ def _polygon_boundary(shape: Polygon) -> PolygonBoundary:
     lengths = np.hypot(e[:, 0], e[:, 1])
     if np.any(lengths == 0):
         raise InvalidShapeError("polygon has a repeated vertex")
-    # shoelace; CCW required
-    area2 = float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
-    if area2 <= 0:
+    if shape.area <= 0:
         raise InvalidShapeError(
             "polygon area is not positive (vertices must be CCW)"
         )
@@ -459,9 +470,7 @@ def random_convex_polygon(rng: np.random.Generator,
         pts = np.vstack([upper, upper * np.array([1.0, -1.0])])
         hull = ConvexHull(pts)
         v = pts[hull.vertices]  # CCW per scipy convention
-        area = 0.5 * float(
-            np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
-        )
+        area = Polygon(vertices=v).area
         if area < 1e-3:
             continue
         a = np.sqrt(area / (2.0 * np.pi))

@@ -326,19 +326,6 @@ def _first_kind_solve(mat: np.ndarray, rhs: np.ndarray):
     return lu_solve(lu, rhs, check_finite=False), cond
 
 
-def solve_first_kind(shape: CrossSection, dirichlet_values,
-                     resolution: int = DEFAULT_RESOLUTION):
-    """Density of the single layer matching given Dirichlet boundary values.
-
-    Building block for manufactured-solution tests; no flux constant, no
-    circulation normalization.
-    """
-    bnd = _smooth_or_raise(shape, resolution)
-    S = single_layer_matrix(bnd)
-    phi, cond = _first_kind_solve(S, np.asarray(dirichlet_values, dtype=float))
-    return phi, bnd, cond
-
-
 def _smooth_or_raise(shape, resolution) -> SmoothBoundary:
     if isinstance(shape, Polygon):
         raise SolverError("the stream solver needs a smooth boundary; "

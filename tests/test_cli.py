@@ -187,6 +187,35 @@ def test_malformed_shape_type_is_validation_error(tmp_path, payload):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("payload", [
+    # eps/R0 = 1e-9: the boundary quadrature does not converge
+    {"kind": "disk", "params": {"R0": 1.0, "rho0": 1.0 - 1e-9}},
+    {"kind": "polygon",
+     "params": {"vertices": SQUARE["params"]["vertices"][::-1]}},
+])
+@pytest.mark.parametrize("argv", [["analyze"], ["bound", "--we", "0.1"],
+                                  ["solve", "--we", "1",
+                                   "--resolution", "128"]])
+def test_unconverged_or_clockwise_section_is_validation_error(
+        tmp_path, payload, argv):
+    shape = _write_shape(tmp_path, payload)
+    out = tmp_path / "a.json"
+    assert main([*argv, "--shape", shape, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", [THICK_DISK, ELLIPSE, SQUARE, {
+    "kind": "fourier-star",
+    "params": {"R0": 3.0, "base": 1.0, "coeffs": [0.0, 0.05, -0.02]}}])
+def test_bound_builds_one_geometry_report(tmp_path, count_calls, payload):
+    from bubblering import geometry
+    calls = count_calls(geometry, "geometry_report")
+    shape = _write_shape(tmp_path, payload)
+    assert main(["bound", "--shape", shape, "--we", "0.1",
+                 "--out", str(tmp_path / "a.json")]) == 0
+    assert len(calls) == 1
+
+
 def test_polygon_solve_is_solver_failure(tmp_path):
     shape = _write_shape(tmp_path, SQUARE)
     assert main(["solve", "--shape", shape, "--we", "1.0"]) == 3
@@ -244,9 +273,8 @@ def test_non_finite_report_is_validation_error(tmp_path, capsys):
     shape = _write_shape(tmp_path, {"kind": "disk",
                                     "params": {"R0": 1e308, "rho0": 1e307}})
     out = tmp_path / "a.json"
-    with np.errstate(all="ignore"):
-        assert main(["analyze", "--shape", shape, "--out", str(out)]) == 2
-    assert "JSON compliant" in capsys.readouterr().err
+    assert main(["analyze", "--shape", shape, "--out", str(out)]) == 2
+    assert "field area is nan" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -15,14 +15,20 @@ from bubblering.geometry import (
     weber_number,
     width_height,
 )
+from bubblering import shapes
 from bubblering.shapes import (
     Disk,
     Ellipse,
     FourierStar,
+    InvalidShapeError,
     Polygon,
+    boundary_nodes,
     random_convex_polygon,
     random_smooth_shape,
 )
+
+POLYGON = Polygon(vertices=((1.0, -0.5), (2.0, -0.8), (2.5, 0.0), (2.0, 0.8),
+                            (1.0, 0.5)))
 
 
 def test_ellipse_closed_forms():
@@ -193,6 +199,54 @@ def test_normalize_rescales_to_unit_length_scale():
     assert_allclose(rep.delta, rep0.delta, rtol=1e-9)
     assert_allclose(rep.mu, rep0.mu, rtol=1e-12)
     assert_allclose(a, rep0.a, rtol=1e-12)
+
+
+def test_closed_form_area_of_every_kind():
+    # smooth kinds against the sampled area at n = 1024; polygons against
+    # the report's shoelace, bit for bit
+    rng = np.random.default_rng(31)
+    smooth = [Disk(R0=2.0, rho0=0.7)]
+    smooth += [random_smooth_shape(rng) for _ in range(40)]
+    for shape in smooth:
+        bnd = boundary_nodes(shape, 1024)
+        sampled = float(np.sum(bnd.r * bnd.normal_r * bnd.weights))
+        assert_allclose(shape.area, sampled, rtol=1e-13)
+    for poly in [POLYGON] + [random_convex_polygon(rng) for _ in range(20)]:
+        assert poly.area == geometry_report(poly).area
+
+
+def test_normalize_samples_no_boundary(count_calls):
+    calls = count_calls(shapes, "boundary_nodes")
+    for shape in [Disk(R0=2.0, rho0=0.7), Ellipse(R0=5.0, m=2.0, n=1.5),
+                  FourierStar(R0=3.0, base=1.0, coeffs=(0.0, 0.05, -0.02)),
+                  POLYGON]:
+        scaled, a = normalize(shape, None)
+        assert_allclose(scaled.area, 2.0 * np.pi, rtol=1e-15)
+        assert_allclose(a, np.sqrt(shape.area / (2.0 * np.pi)), rtol=1e-15)
+    assert calls == []
+
+
+@pytest.mark.parametrize("shape", [
+    Polygon(vertices=POLYGON.vertices[::-1]),   # clockwise
+    Ellipse(R0=np.nan, m=1.0, n=1.0),
+    Disk(R0=1e308, rho0=1e307),                 # area overflows
+    Disk(R0=1e-160, rho0=1e-161),               # area is subnormal
+])
+def test_normalize_rejects_invalid_area(shape):
+    with pytest.raises(InvalidShapeError):
+        normalize(shape, None)
+
+
+@pytest.mark.parametrize("shape, field", [
+    (Disk(R0=1e308, rho0=1e307), "area"),
+    (Disk(R0=1e154, rho0=1e153), "R"),
+    (Disk(R0=1e-160, rho0=1e-161), "total_mean_curvature"),
+])
+def test_report_refuses_non_finite_fields(shape, field):
+    # finite parameters whose integrals over- or underflow; a RuntimeWarning
+    # on the way would fail the test as well
+    with pytest.raises(InvalidShapeError, match=f"field {field} is"):
+        geometry_report(shape)
 
 
 def small_radius_delta_implication(shape) -> bool:

@@ -18,7 +18,6 @@ from bubblering.solver import (
     normal_derivative_matrix,
     single_layer_matrix,
     solve_dirichlet,
-    solve_first_kind,
 )
 
 SHAPE = Ellipse(R0=2.0, m=0.8, n=0.6)
@@ -58,7 +57,7 @@ def test_log_weights_are_symmetric_and_accurate_at_512():
 
 def test_manufactured_exterior_reconstruction():
     bnd, data = _filament_data(256)
-    phi, bnd, cond = solve_first_kind(SHAPE, data, 256)
+    phi = np.linalg.solve(single_layer_matrix(bnd), data)
     # ring of test points one diameter away from the section
     t = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
     pr = 2.0 + 2.4 * np.cos(t)
@@ -72,7 +71,7 @@ def test_manufactured_exterior_reconstruction():
 
 def test_manufactured_normal_derivative():
     bnd, data = _filament_data(256)
-    phi, bnd, _ = solve_first_kind(SHAPE, data, 256)
+    phi = np.linalg.solve(single_layer_matrix(bnd), data)
     A = normal_derivative_matrix(bnd)
     dn = -bnd.r * phi / 2.0 + A @ phi
     exact = np.empty(bnd.n_nodes)
@@ -94,7 +93,7 @@ def test_spectral_convergence_of_reconstruction():
     for n in [128, 256, 512]:
         bnd = boundary_nodes(SHAPE, n)
         data = ring_kernel(hard_src, (bnd.r, bnd.z))
-        phi, bnd, _ = solve_first_kind(SHAPE, data, n)
+        phi = np.linalg.solve(single_layer_matrix(bnd), data)
         rec = evaluate_stream(phi, bnd, (pr, pz))
         errs.append(max(np.max(np.abs(rec - exact)), 1e-15))
     assert errs[0] / errs[1] >= 4.0
@@ -324,9 +323,6 @@ def test_condition_gate_refuses_solves(monkeypatch):
     monkeypatch.setattr(solver, "MAX_CONDITION", 10.0)
     with pytest.raises(SolverError):
         solve_dirichlet(SHAPE, 0.2, 64)
-    _, data = _filament_data(64)
-    with pytest.raises(SolverError):
-        solve_first_kind(SHAPE, data, 64)
 
 
 def test_inverse_norm_estimate_against_exact():
