@@ -9,6 +9,11 @@ The report's area integrals are reduced to boundary integrals by the
 divergence theorem (d/dr(-1/r) = 1/r^2, d/dr(r^2/2) = r), so one
 quadrature serves them all: spectral trapezoid on smooth curves, exact edge
 formulas on polygons.  `normalize` reads each kind's closed-form `area`.
+
+On a smooth kind the crossing t_b where n_r = b (the end of S(b), and the
+top point h at b = 0) is found by a bracketed Newton iteration, and |S(b)|
+is one 60-point Gauss-Legendre rule over [0, t_b].  The module needs numpy
+only.
 """
 
 from __future__ import annotations
@@ -16,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
-from scipy.integrate import fixed_quad
-from scipy.optimize import brentq
 
 from .shapes import (
     CrossSection,
@@ -46,6 +49,13 @@ __all__ = [
 ]
 
 _DELTA_RTOL = 1e-9
+_CROSSING_SAMPLES = np.linspace(0.0, np.pi, 17)
+_CROSSING_XTOL = 1e-14
+_CROSSING_RTOL = 4.0 * np.finfo(float).eps
+_CROSSING_MAXITER = 100
+# 60-point Gauss-Legendre rule: nodes x_i on [-1, 1], used at (x_i + 1)/2
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(60)
+_GAUSS_NODES = (_GAUSS_X + 1.0) / 2.0
 
 
 class QuadratureError(RuntimeError):
@@ -140,13 +150,46 @@ def _polygon_integrals(bnd: PolygonBoundary) -> dict:
 
 def _normal_crossing(shape: CrossSection, b: float) -> float:
     """The one t in (0, pi) where n_r = b on a smooth kind: on a convex
-    z-symmetric section n_r falls from 1 at t = 0 to -1 at t = pi."""
+    z-symmetric section n_r falls from 1 at t = 0 to -1 at t = pi.
 
-    def nr_minus_b(t):
-        (dr, dz), _ = shape.derivs(t)
-        return dz / np.hypot(dr, dz) - b
+    Newton's method on n_r(t) - b, whose slope dn_r/dt = kappa dr/dt comes
+    from the same `derivs` call.  One vectorized sample of [0, pi] brackets
+    the root, and a step that leaves the bracket, or converges too slowly,
+    bisects it.  It stops when a step falls below brentq's tolerance
+    1e-14 + 4 eps |t|, and raises QuadratureError after 100 steps."""
 
-    return brentq(nr_minus_b, 0.0, np.pi, xtol=1e-14)
+    def residual_slope(t):
+        (dr, dz), (ddr, ddz) = shape.derivs(t)
+        speed = np.hypot(dr, dz)
+        tr, tz = dr / speed, dz / speed
+        # kappa dr/dt without speed**3, which under- or overflows first
+        return tz - b, tr * (tr * ddz - tz * ddr) / speed
+
+    f, slope = residual_slope(_CROSSING_SAMPLES)
+    if not (np.all(np.isfinite(f)) and f[0] > 0.0 and f[-1] < 0.0):
+        raise QuadratureError(f"n_r - {b} does not change sign on [0, pi]")
+    i = int(np.argmax(f <= 0.0))
+    lo, hi = _CROSSING_SAMPLES[i - 1], _CROSSING_SAMPLES[i]
+    j = i if -f[i] < f[i - 1] else i - 1    # start from the smaller |f|
+    t, ft, dt = _CROSSING_SAMPLES[j], f[j], slope[j]
+    step = last = hi - lo    # the last two steps
+    for _ in range(_CROSSING_MAXITER):
+        if ft > 0.0:
+            lo = t
+        else:
+            hi = t
+        # a Newton step must stay in the bracket and be at most half the
+        # step before last, else bisect: rounding in n_r cannot make it cycle
+        newton = (dt < 0.0 and lo <= t - ft / dt <= hi
+                  and abs(ft / dt) <= last / 2)
+        t_new = t - ft / dt if newton else 0.5 * (lo + hi)
+        last, step = step, abs(t_new - t)
+        if step <= _CROSSING_XTOL + _CROSSING_RTOL * abs(t_new):
+            return float(t_new)
+        t = t_new
+        ft, dt = residual_slope(t)
+    raise QuadratureError(
+        f"n_r = {b} crossing did not converge in {_CROSSING_MAXITER} steps")
 
 
 def _extrema(shape: CrossSection) -> tuple[float, float, float]:
@@ -255,12 +298,10 @@ def surface_set_length(shape: CrossSection, b: float) -> float:
     # checks the convexity and z -> -z symmetry the one arc rests on
     boundary_nodes(shape, 1024)
 
-    def speed(t):
-        (dr, dz), _ = shape.derivs(t)
-        return np.hypot(dr, dz)
-
-    return 2.0 * float(fixed_quad(speed, 0.0, _normal_crossing(shape, b),
-                                  n=60)[0])
+    # twice the speed over [0, t_b]: 2 (t_b/2) sum_i w_i speed(t_b (x_i+1)/2)
+    t_b = _normal_crossing(shape, b)
+    (dr, dz), _ = shape.derivs(t_b * _GAUSS_NODES)
+    return float(t_b * np.sum(_GAUSS_W * np.hypot(dr, dz)))
 
 
 def outer_radius_ratio(shape: CrossSection) -> float:

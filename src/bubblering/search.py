@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .geometry import normalize
 from .shapes import CrossSection, Disk, Ellipse, FourierStar, InvalidShapeError
@@ -225,6 +224,7 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
     # evaluates x0 first, so budget = 1 stops there
     steps = 0.05 * (1.0 + np.abs(x0)) * (1.0 + 0.1 * rng.random(x0.size))
     simplex = np.vstack([x0, x0 + np.diag(steps)])
+    from scipy.optimize import minimize   # loaded by the first search
     minimize(objective, x0, method="Nelder-Mead", bounds=family.bounds,
              options={"maxfev": budget, "initial_simplex": simplex,
                       "xatol": 1e-10, "fatol": 1e-12})

@@ -367,12 +367,16 @@ def shape_to_dict(shape: CrossSection) -> dict:
     return {"kind": kind, "params": params}
 
 
-def _number(value, name: str):
-    """`value` itself if it is a JSON number, else InvalidShapeError."""
+def _number(value, name: str) -> float:
+    """A JSON number as a float, else InvalidShapeError."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise InvalidShapeError(
             f"shape parameter {name} must be a number, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError as exc:   # an integer beyond about 1.8e308
+        raise InvalidShapeError(
+            f"shape parameter {name} is too large for a float") from exc
 
 
 def _numbers(values, name: str) -> tuple:

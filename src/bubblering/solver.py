@@ -41,7 +41,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.linalg import lu_factor, lu_solve
 
 from .kernel import _modulus, _modulus_factors, ring_kernel
 from .shapes import (DEFAULT_RESOLUTION, CrossSection, Polygon,
@@ -295,6 +294,7 @@ def _inverse_norm1(lu, n: int) -> float:
     last bits with the alignment of its internal work arrays, which differs
     from one process to the next; this keeps outputs byte-identical.
     """
+    from scipy.linalg import lu_solve
     x = np.full(n, 1.0 / n)
     est = 0.0
     for it in range(5):
@@ -319,6 +319,7 @@ def _inverse_norm1(lu, n: int) -> float:
 
 def _first_kind_solve(mat: np.ndarray, rhs: np.ndarray):
     """LU solve, gated on the 1-norm condition estimate of `mat`."""
+    from scipy.linalg import lu_factor, lu_solve   # loaded by the first solve
     lu = lu_factor(mat, check_finite=False)
     cond = np.linalg.norm(mat, 1) * _inverse_norm1(lu, mat.shape[0])
     if not np.isfinite(cond) or cond > MAX_CONDITION:

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import bubblering
 from bubblering import __version__
 from bubblering.cli import main
 from bubblering.geometry import ellipse_inv_r2_integral
@@ -18,6 +24,8 @@ def _write_shape(tmp_path, payload, name="shape.json"):
 ELLIPSE = {"kind": "ellipse", "params": {"R0": 3.0, "m": 2.0, "n": 1.0}}
 THICK_DISK = {"kind": "disk",
               "params": {"R0": 1.55, "rho0": float(np.sqrt(2.0))}}
+STAR = {"kind": "fourier-star",
+        "params": {"R0": 3.0, "base": 1.0, "coeffs": [0.0, 0.05, -0.02]}}
 SQUARE = {"kind": "polygon",
           "params": {"vertices": [[1.0, -0.5], [2.0, -0.5], [2.0, 0.5],
                                   [1.0, 0.5]]}}
@@ -204,9 +212,22 @@ def test_unconverged_or_clockwise_section_is_validation_error(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("payload", [THICK_DISK, ELLIPSE, SQUARE, {
-    "kind": "fourier-star",
-    "params": {"R0": 3.0, "base": 1.0, "coeffs": [0.0, 0.05, -0.02]}}])
+@pytest.mark.parametrize("argv", [["analyze"], ["bound", "--we", "0.1"],
+                                  ["solve", "--we", "1",
+                                   "--resolution", "64"]])
+def test_integer_too_large_for_a_float_is_validation_error(tmp_path, capsys,
+                                                           argv):
+    # json reads `1` followed by 400 zeros as an int that no float holds
+    shape = tmp_path / "huge.json"
+    shape.write_text('{"kind": "disk", "params": {"R0": 1' + "0" * 400
+                     + ', "rho0": 1}}')
+    out = tmp_path / "a.json"
+    assert main([*argv, "--shape", str(shape), "--out", str(out)]) == 2
+    assert "too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", [THICK_DISK, ELLIPSE, SQUARE, STAR])
 def test_bound_builds_one_geometry_report(tmp_path, count_calls, payload):
     from bubblering import geometry
     calls = count_calls(geometry, "geometry_report")
@@ -359,3 +380,43 @@ def test_norbury_table_csv(tmp_path):
     rows = [line.split(",") for line in lines[2:]]
     wemin = [float(r[-1]) for r in rows]
     assert all(np.diff(wemin) > 0)  # diverges as eps decreases down the table
+
+
+def test_numpy_only_commands_load_no_scipy(tmp_path):
+    # import bubblering, analyze, bound and norbury-table run on numpy
+    # alone: a fresh process that runs them never imports scipy
+    star = _write_shape(tmp_path, STAR, "star.json")
+    square = _write_shape(tmp_path, SQUARE, "square.json")
+    runs = {
+        "analyze": ["analyze", "--shape", star],
+        "bound": ["bound", "--shape", star, "--we", "0.1"],
+        "bound-polygon": ["bound", "--shape", square, "--we", "0.1"],
+        "norbury-table": ["norbury-table"],
+    }
+    code = textwrap.dedent("""
+        import json, sys
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules
+                          if m == "scipy" or m.startswith("scipy."))
+
+        import bubblering
+        loaded = {"import bubblering": scipy_modules()}
+        import bubblering.cli
+        loaded["import bubblering.cli"] = scipy_modules()
+        for name, argv in json.loads(sys.argv[1]).items():
+            status = bubblering.cli.main(argv)
+            loaded[name] = scipy_modules() if status == 0 else status
+        print(json.dumps(loaded))
+    """)
+    argvs = {name: argv + ["--out", str(tmp_path / f"{name}.out")]
+             for name, argv in runs.items()}
+    src = str(Path(bubblering.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    loaded = json.loads(proc.stdout)
+    assert loaded == {name: [] for name in
+                      ["import bubblering", "import bubblering.cli", *runs]}

@@ -6,6 +6,8 @@ from scipy.integrate import dblquad
 
 from bubblering.geometry import (
     PhysicalParams,
+    QuadratureError,
+    _normal_crossing,
     disk_delta,
     ellipse_inv_r2_integral,
     geometry_report,
@@ -161,6 +163,100 @@ def test_surface_set_length_disk():
             assert_allclose(surface_set_length(Ellipse(R0=R0, m=m, n=n), b),
                             _ellipse_arc_mpmath(m, n, b), rtol=1e-11,
                             err_msg=f"m={m}, n={n}, b={b}")
+
+
+CROSSING_B = (0.0, 0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9)
+
+
+def _random_stars(seed, count):
+    rng = np.random.default_rng(seed)
+    stars = []
+    while len(stars) < count:
+        shape = random_smooth_shape(rng)
+        if isinstance(shape, FourierStar):
+            stars.append(shape)
+    return stars
+
+
+class _CountingShape:
+    """Delegates `derivs` to a shape and counts the calls."""
+
+    def __init__(self, shape):
+        self.shape, self.calls = shape, 0
+
+    def derivs(self, t):
+        self.calls += 1
+        return self.shape.derivs(t)
+
+
+def test_normal_crossing_ellipse_closed_form():
+    # n_r = n cos t / |x'(t)| = b at tan t_b = (n/m) sqrt(1/b^2 - 1), and
+    # t_b = pi/2 at b = 0; 20:1 flat and tall ellipses included
+    rng = np.random.default_rng(14)
+    axes = [(2.0, 0.1), (0.1, 2.0)] + [tuple(rng.uniform(0.3, 2.0, 2))
+                                       for _ in range(30)]
+    for m, n in axes:
+        shape = Ellipse(R0=m + 1.0, m=m, n=n)
+        for b in CROSSING_B:
+            exact = np.arctan2(n * np.sqrt((1.0 - b) * (1.0 + b)), m * b)
+            assert abs(_normal_crossing(shape, b) - exact) <= 1e-14, (m, n, b)
+
+
+def test_normal_crossing_matches_brentq_on_fourier_stars():
+    from scipy.optimize import brentq
+    for shape in _random_stars(15, 30):
+        for b in CROSSING_B:
+            def nr_minus_b(t):
+                (dr, dz), _ = shape.derivs(t)
+                return dz / np.hypot(dr, dz) - b
+
+            oracle = brentq(nr_minus_b, 0.0, np.pi, xtol=1e-14)
+            assert abs(_normal_crossing(shape, b) - oracle) <= 1e-14
+
+
+def test_surface_set_length_is_the_60_point_gauss_rule():
+    from scipy.integrate import fixed_quad
+    rng = np.random.default_rng(16)
+    for shape in [random_smooth_shape(rng) for _ in range(20)]:
+        for b in CROSSING_B:
+            def speed(t):
+                (dr, dz), _ = shape.derivs(t)
+                return np.hypot(dr, dz)
+
+            t_b = _normal_crossing(shape, b)
+            oracle = 2.0 * fixed_quad(speed, 0.0, t_b, n=60)[0]
+            assert_allclose(surface_set_length(shape, b), oracle, rtol=1e-14)
+
+
+def test_normal_crossing_derivs_calls():
+    # one vectorized sample plus a few Newton steps: brentq took 9 calls
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        shape = _CountingShape(random_smooth_shape(rng))
+        for b in CROSSING_B:
+            shape.calls = 0
+            _normal_crossing(shape, b)
+            assert shape.calls <= 6, (shape.shape, b, shape.calls)
+
+
+def test_normal_crossing_converges_at_the_rounding_floor():
+    # near b = 1 on a tall ellipse n_r is flat at the root, so its rounding
+    # moves the root by 1e-14: Newton alone bounced between two points
+    m, n, b = 0.47527085752291953, 2.8485158690548693, 0.999
+    shape = _CountingShape(Ellipse(R0=m + 1.0, m=m, n=n))
+    exact = np.arctan2(n * np.sqrt((1.0 - b) * (1.0 + b)), m * b)
+    assert abs(_normal_crossing(shape, b) - exact) <= 1e-13
+    assert shape.calls <= 12
+
+
+def test_normal_crossing_without_sign_change_raises():
+    class Upright:          # n_r = 1 everywhere
+        def derivs(self, t):
+            zero = np.zeros_like(t)
+            return (zero, zero + 1.0), (zero, zero)
+
+    with pytest.raises(QuadratureError, match="sign"):
+        _normal_crossing(Upright(), 0.5)
 
 
 @pytest.mark.parametrize("shape", [

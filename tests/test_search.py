@@ -160,14 +160,15 @@ class _CountingFamily(ShapeFamily):
 
 
 def _scripted_search(monkeypatch, points, family):
-    # stand-in optimizer that asks for the given points in order
-    from bubblering import search
+    # stand-in optimizer that asks for the given points in order;
+    # residual_minimize imports `minimize` from scipy.optimize at each call
+    import scipy.optimize
 
     def scripted(fun, x0, **kwargs):
         for p in points:
             fun(np.array([p]))
 
-    monkeypatch.setattr(search, "minimize", scripted)
+    monkeypatch.setattr(scipy.optimize, "minimize", scripted)
     return residual_minimize(family, we=0.5, budget=len(points),
                              resolution=32)
 

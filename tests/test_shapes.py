@@ -197,6 +197,31 @@ def test_malformed_shape_file_types(tmp_path, payload):
         load_shape(path)
 
 
+HUGE = 10**400   # json writes and reads it as an int; no float holds it
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "disk", "params": {"R0": HUGE, "rho0": 1}},
+    {"kind": "ellipse", "params": {"R0": 3, "m": 1, "n": -HUGE}},
+    {"kind": "fourier-star", "params": {"R0": 3, "base": 1,
+                                        "coeffs": [0, HUGE]}},
+    {"kind": "polygon", "params": {"vertices": [[1, -1], [HUGE, 0],
+                                                [1, 1]]}},
+])
+def test_integer_too_large_for_a_float_is_rejected(tmp_path, payload):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvalidShapeError, match="too large"):
+        load_shape(path)
+
+
+def test_integer_parameters_are_read_as_floats():
+    shape = shape_from_dict({"kind": "fourier-star",
+                             "params": {"R0": 3, "base": 1, "coeffs": [0]}})
+    assert shape == FourierStar(R0=3.0, base=1.0, coeffs=(0.0,))
+    assert all(type(x) is float for x in (shape.R0, shape.base, *shape.coeffs))
+
+
 def test_scaled_preserves_kind():
     disk = Disk(R0=2.0, rho0=0.5).scaled(2.0)
     assert isinstance(disk, Disk)
