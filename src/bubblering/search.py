@@ -80,28 +80,28 @@ class ThickDiskFamily(ShapeFamily):
 
 
 class EllipseFamily(ShapeFamily):
-    """Ellipses (R0, m, n), rescaled so the area is exactly 2 pi."""
+    """Ellipses (R0, m = 1, n), rescaled so the area is exactly 2 pi; m = 1
+    fixes the scale that the rescaling would divide out."""
 
     name = "ellipse"
-    initial = (2.0, 1.0, 1.2)
+    initial = (2.0, 1.2)
 
     def make_shape(self, params) -> Ellipse:
-        R0, m, n = (float(p) for p in params)
-        return normalize(Ellipse(R0=R0, m=m, n=n), None)[0]
+        R0, n = (float(p) for p in params)
+        return normalize(Ellipse(R0=R0, m=1.0, n=n), None)[0]
 
 
 class FourierFamily(ShapeFamily):
-    """Star-shaped sections rho(t) = base + sum c_j cos(j t) around a center
-    R0, rescaled to area 2 pi; parameters (R0, base, c2, c3, ...)."""
+    """Star-shaped sections rho(t) = 1 + c2 cos 2t + c3 cos 3t around a
+    center R0, rescaled to area 2 pi; parameters (R0, c2, c3)."""
 
     name = "fourier"
-    initial = (2.0, 1.0, 0.0, 0.0)
+    initial = (2.0, 0.0, 0.0)
 
     def make_shape(self, params) -> FourierStar:
-        R0, base = float(params[0]), float(params[1])
+        R0, c2, c3 = (float(p) for p in params)
         # FourierStar numbers its coefficients from j = 1: c1 = 0
-        coeffs = (0.0, *(float(c) for c in params[2:]))
-        return normalize(FourierStar(R0=R0, base=base, coeffs=coeffs),
+        return normalize(FourierStar(R0=R0, base=1.0, coeffs=(0.0, c2, c3)),
                          None)[0]
 
 

@@ -34,6 +34,7 @@ __all__ = [
 
 DEFAULT_RESOLUTION = 512
 MAX_RESOLUTION = 8192
+_POLYGON_POINTS = 12   # upper-half points of random_convex_polygon's cloud
 
 # Convexity slack: signed curvature >= -1e-10 / a absorbs floating-point
 # noise in fourier-star curvature.
@@ -273,16 +274,6 @@ def _check_smooth(shape, bnd: SmoothBoundary) -> None:
         raise InvalidShapeError(
             f"curve is not convex: min curvature {np.min(bnd.curvature):.3g}"
         )
-    # z -> -z symmetry: the parameterizations built here satisfy
-    # (r, z)(-t) = (r, -z)(t); verify on the evaluated nodes 0..n/2 (the
-    # others are copies of their mirrors).
-    m = bnd.n_nodes // 2 + 1
-    rm, zm = shape.point(-bnd.t[:m])
-    scale = max(1.0, float(np.max(np.abs(bnd.z))))
-    if np.max(np.abs(rm - bnd.r[:m])) > 1e-12 * scale or np.max(
-        np.abs(zm + bnd.z[:m])
-    ) > 1e-12 * scale:
-        raise InvalidShapeError("curve is not symmetric under z -> -z")
 
 
 def _polygon_boundary(shape: Polygon) -> PolygonBoundary:
@@ -309,12 +300,12 @@ def _polygon_boundary(shape: Polygon) -> PolygonBoundary:
         raise InvalidShapeError(
             f"polygon is not convex: negative turning angle {np.min(turning):.3g}"
         )
-    # z -> -z symmetry of the vertex set
+    # z -> -z symmetry: each mirrored vertex (column) is near some vertex
     scale = max(1.0, float(np.max(np.abs(v))))
-    mirrored = v * np.array([1.0, -1.0])
-    for p in mirrored:
-        if np.min(np.hypot(v[:, 0] - p[0], v[:, 1] - p[1])) > 1e-12 * scale:
-            raise InvalidShapeError("polygon is not symmetric under z -> -z")
+    dist = np.hypot(v[:, None, 0] - v[None, :, 0],
+                    v[:, None, 1] + v[None, :, 1])
+    if np.max(np.min(dist, axis=0)) > 1e-12 * scale:
+        raise InvalidShapeError("polygon is not symmetric under z -> -z")
     return PolygonBoundary(
         vertices=v, edge_lengths=lengths, edge_normal_r=nr, edge_normal_z=nz,
         turning_angles=turning,
@@ -330,8 +321,8 @@ def boundary_nodes(shape: CrossSection,
 
     Raises ValueError for fewer than 8 or more than MAX_RESOLUTION nodes
     (before any work that scales with n), and InvalidShapeError for
-    non-convex curves, curves touching the axis, or broken z -> -z
-    symmetry.
+    non-convex curves, curves touching the axis, or polygons not symmetric
+    under z -> -z (the smooth kinds are symmetric by construction).
     """
     if isinstance(shape, Polygon):
         shape.validate()
@@ -460,8 +451,7 @@ def random_smooth_shape(rng: np.random.Generator) -> CrossSection:
         return shape
 
 
-def random_convex_polygon(rng: np.random.Generator,
-                          n_points: int = 12) -> Polygon:
+def random_convex_polygon(rng: np.random.Generator) -> Polygon:
     """Random convex polygon, symmetric under z -> -z, kept off the axis.
 
     Samples a z-symmetric point cloud, takes its convex hull, and shifts
@@ -470,7 +460,8 @@ def random_convex_polygon(rng: np.random.Generator,
     from scipy.spatial import ConvexHull
 
     while True:
-        upper = rng.uniform([-1.0, 0.0], [1.0, 1.0], size=(n_points, 2))
+        upper = rng.uniform([-1.0, 0.0], [1.0, 1.0],
+                            size=(_POLYGON_POINTS, 2))
         pts = np.vstack([upper, upper * np.array([1.0, -1.0])])
         hull = ConvexHull(pts)
         v = pts[hull.vertices]  # CCW per scipy convention

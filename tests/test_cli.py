@@ -229,12 +229,30 @@ def test_integer_too_large_for_a_float_is_validation_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("payload", [THICK_DISK, ELLIPSE, SQUARE, STAR])
 def test_bound_builds_one_geometry_report(tmp_path, count_calls, payload):
-    from bubblering import geometry
+    from bubblering import geometry, shapes
     calls = count_calls(geometry, "geometry_report")
+    samples = count_calls(shapes, "boundary_nodes")
     shape = _write_shape(tmp_path, payload)
     assert main(["bound", "--shape", shape, "--we", "0.1",
                  "--out", str(tmp_path / "a.json")]) == 0
     assert len(calls) == 1
+    # one sample for the report, one for surface_set_length's check
+    assert len(samples) == 2
+
+
+def test_underflowing_report_is_validation_error(tmp_path, capsys):
+    # the section's speed**3 is subnormal: analyze refuses it, while bound
+    # and solve work on the normalized copy
+    shape = _write_shape(tmp_path, {"kind": "disk",
+                                    "params": {"R0": 1e-105, "rho0": 1e-106}})
+    out = tmp_path / "a.json"
+    assert main(["analyze", "--shape", shape, "--out", str(out)]) == 2
+    assert "speed**3" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["bound", "--shape", shape, "--we", "0.1",
+                 "--out", str(out)]) == 0
+    assert main(["solve", "--shape", shape, "--we", "1", "--resolution", "64",
+                 "--out", str(out)]) == 0
 
 
 def test_polygon_solve_is_solver_failure(tmp_path):

@@ -345,6 +345,71 @@ def test_report_refuses_non_finite_fields(shape, field):
         geometry_report(shape)
 
 
+@pytest.mark.parametrize("shape", [
+    Disk(R0=1e-105, rho0=1e-106),
+    Ellipse(R0=1.0, m=0.5, n=1e-104),
+])
+def test_report_refuses_subnormal_speed_cubed(shape):
+    # every field is finite, but the curvature divides by a subnormal
+    # speed**3 and loses digits (mu off by 3.5e-6 on the disk)
+    with pytest.raises(InvalidShapeError, match=r"speed\*\*3"):
+        geometry_report(shape)
+
+
+def test_report_of_a_tiny_disk_keeps_its_digits():
+    rep = geometry_report(Disk(R0=1e-100, rho0=1e-101))
+    assert abs(rep.total_mean_curvature + rep.delta) <= 1e-14
+    assert_allclose(rep.mu, 10.0 * np.sqrt(2.0), rtol=1e-14)
+
+
+@pytest.mark.parametrize("shape, resolution", [
+    (Disk(R0=2.0, rho0=0.7), 1024),
+    (Disk(R0=1.0, rho0=1.0 - 2e-4), 4096),
+    (Ellipse(R0=30.0, m=1.0, n=0.05), 1024),    # 20:1
+    (FourierStar(R0=3.0, base=1.0, coeffs=(0.0, 0.05, -0.02)), 1024),
+], ids=["disk", "near-axis-disk", "ellipse-20-1", "fourier-star"])
+def test_report_samples_once_per_resolution(count_calls, shape, resolution):
+    # the error estimate reads the n/2-node rule off the n-node sample
+    calls = count_calls(shapes, "boundary_nodes")
+    assert geometry_report(shape).resolution == resolution
+    assert calls == [(shape, n) for n in (1024, 2048, 4096, 8192)
+                     if n <= resolution]
+
+
+def _two_sample_estimate(shape, n):
+    """The relative delta gap between separate n- and n/2-node samples."""
+    def inv_r2(bnd):
+        return float(np.sum(-(1.0 / bnd.r) * bnd.normal_r * bnd.weights))
+
+    fine = inv_r2(boundary_nodes(shape, n))
+    coarse = inv_r2(boundary_nodes(shape, n // 2))
+    return abs(fine - coarse) / max(1.0, abs(fine))
+
+
+def test_quad_error_equals_the_two_sample_estimate():
+    rng = np.random.default_rng(12)
+    cases = [random_smooth_shape(rng) for _ in range(50)]
+    cases += [Disk(R0=1.0, rho0=1.0 - eps) for eps in (2e-4, 1e-4, 2e-5)]
+    resolutions = set()
+    for shape in cases:
+        rep = geometry_report(shape)
+        assert rep.quad_error == _two_sample_estimate(shape, rep.resolution)
+        resolutions.add(rep.resolution)
+    assert {1024, 4096, 8192} <= resolutions
+
+
+def test_smooth_height_is_the_ellipse_semi_axis_exactly():
+    # h comes from the n_r = 0 crossing on every smooth kind; on an
+    # ellipse or disk it must reproduce the semi-axis n bit for bit
+    rng = np.random.default_rng(13)
+    for _ in range(1000):
+        m = 10.0 ** rng.uniform(-3.0, 3.0)
+        n = m * 10.0 ** rng.uniform(-2.0, 2.0)
+        R0 = m * (1.0 + 10.0 ** rng.uniform(-4.0, 1.0))
+        shape = Disk(R0, m) if rng.uniform() < 0.3 else Ellipse(R0, m, n)
+        assert width_height(shape)[0] == shape.n
+
+
 def small_radius_delta_implication(shape) -> bool:
     """True iff (2 pi R^2 <= area) implies (delta >= 0) on this shape.
 

@@ -17,7 +17,7 @@ from bubblering.shapes import Disk, InvalidShapeError
 def test_families_produce_normalized_shapes():
     cases = [(fam, fam.initial)
              for fam in [ThickDiskFamily(), EllipseFamily(), FourierFamily()]]
-    cases.append((FourierFamily(), (2.0, 1.0, 0.05, -0.02)))
+    cases.append((FourierFamily(), (2.0, 0.05, -0.02)))
     for fam, params in cases:
         shape = fam.make_shape(params)
         rep = geometry_report(shape)
@@ -27,9 +27,22 @@ def test_families_produce_normalized_shapes():
 def test_fourier_family_c2_multiplies_cos_2t():
     # rho = base + c2 cos 2t is even about t = pi/2: rho(0) = rho(pi); a
     # coefficient on cos t would make the section lopsided in r instead
-    shape = FourierFamily().make_shape((2.0, 1.0, 0.1, 0.0))
+    shape = FourierFamily().make_shape((2.0, 0.1, 0.0))
     (r0, r_pi), _ = shape.point(np.array([0.0, np.pi]))
     assert_allclose(r0 - shape.R0, shape.R0 - r_pi, rtol=1e-14)
+
+
+@pytest.mark.parametrize("family, params", [
+    (EllipseFamily(), (2.0, 1.2)),
+    (FourierFamily(), (2.0, 0.05, -0.02)),
+], ids=["ellipse", "fourier"])
+def test_scaled_parameters_give_a_different_shape(family, params):
+    # the rescaling to area 2 pi divides out any common scale, so a family
+    # whose parameters carry one would be constant along p -> c p
+    rep = geometry_report(family.make_shape(params))
+    doubled = geometry_report(family.make_shape(tuple(2.0 * p
+                                                      for p in params)))
+    assert abs(doubled.mu - rep.mu) > 1e-3 * rep.mu
 
 
 def test_family_admissibility():

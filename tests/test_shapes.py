@@ -69,6 +69,22 @@ def test_asymmetric_shape_rejected():
         boundary_nodes(tri)
 
 
+@pytest.mark.parametrize("offset, symmetric", [(0.5e-12, True),
+                                               (2e-12, False)])
+def test_polygon_symmetry_tolerance(offset, symmetric):
+    # a vertex may miss its mirror by up to 1e-12 * scale, the largest
+    # coordinate magnitude (2.5 here)
+    vertices = [[1.0, -0.5], [2.0, -0.8], [2.5, 0.0], [2.0, 0.8],
+                [1.0, 0.5]]
+    vertices[3][1] += offset * 2.5
+    poly = Polygon(vertices=vertices)
+    if symmetric:
+        boundary_nodes(poly)
+    else:
+        with pytest.raises(InvalidShapeError, match="not symmetric"):
+            boundary_nodes(poly)
+
+
 def test_polygon_orientation_and_turning():
     square = Polygon(vertices=((1.0, -0.5), (2.0, -0.5), (2.0, 0.5),
                                (1.0, 0.5)))
