@@ -19,8 +19,9 @@ gives  We >= term_curvature + term_bernoulli.  Two variants are reported:
       term_curvature = 2 b* pi^2 / (27 R^3)
       term_bernoulli = 4 pi^2 delta_+ / (3R (4 pi + 18 R^2))
 * measured: r_max, h and Delta R = r_max - r_min taken from the geometry
-  report, and |S(b*)| measured on the shape itself, giving the sharper
-  u^2 = 2 b* S(b*)^2 / r_max  and  v^2 = 4 delta_+ h^2 / (4h + 2 Delta R).
+  report, and |S(b*)| measured on the report's checked boundary, giving
+  the sharper u^2 = 2 b* S(b*)^2 / r_max  and
+  v^2 = 4 delta_+ h^2 / (4h + 2 Delta R).
 
 The full derivation of every constant is in docs/BOUND_DERIVATION.md; the
 chain-soundness property tests check each intermediate inequality on random
@@ -118,14 +119,17 @@ def explicit_bound(report: GeometryReport,
     """Certificate of a cross-section of any scale from its geometry report.
 
     mu and delta are scale invariant; r_max, h and Delta R = r_max - r_min
-    come from the report and |S(b*)| from the shape, each divided by the
-    report's length scale a.
+    come from the report and |S(b*)| from the report's checked boundary,
+    with no second sampling, each divided by the report's length scale a.
+    `shape` must be the section the report was made from, else ValueError.
     """
+    if shape != report.boundary.shape:
+        raise ValueError("shape is not the section of the geometry report")
     R = report.mu
     delta = report.delta
     b, branch, u2, v2 = _universal_terms(R, delta)
 
-    s_b = surface_set_length(shape, b) / report.a
+    s_b = surface_set_length(report.boundary, b) / report.a
     r_max, h = report.r_max / report.a, report.height_h / report.a
     dR = (report.r_max - report.r_min) / report.a
     u2m = 2.0 * b * s_b**2 / r_max

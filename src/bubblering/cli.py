@@ -188,14 +188,14 @@ def _suite_rows(seed: int, count: int):
     violations = 0
     margin = np.inf
     for _ in range(count):
-        scaled, _, rep = _normalized(random_smooth_shape(rng))
+        _, _, rep = _normalized(random_smooth_shape(rng))
         R = rep.R
         h, dR = rep.height_h, rep.r_max - rep.r_min
         b = _universal_terms(R, rep.delta)[0]
         checks = [
             2 * h - 2 * np.pi / (3 * R),
-            surface_set_length(scaled, b) - np.pi / (3 * R),
-            2 * h + 6 * R - surface_set_length(scaled, 0.0),
+            surface_set_length(rep.boundary, b) - np.pi / (3 * R),
+            2 * h + 6 * R - surface_set_length(rep.boundary, 0.0),
             h * dR - np.pi,
             3 * R - dR,
         ]

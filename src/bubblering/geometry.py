@@ -18,7 +18,7 @@ only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,6 +63,9 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class GeometryReport:
+    """Scalar functionals of a section, and `boundary`: the checked sample
+    they were computed from, neither serialized nor compared."""
+
     area: float
     R: float
     a: float
@@ -76,9 +79,12 @@ class GeometryReport:
     is_thick: bool
     quad_error: float
     resolution: int
+    boundary: SmoothBoundary | PolygonBoundary = field(repr=False,
+                                                       compare=False)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name)
+                for f in fields(self) if f.compare}
 
 
 @dataclass(frozen=True)
@@ -207,13 +213,13 @@ def _extrema(shape: CrossSection) -> tuple[float, float, float]:
     return float(r_max), float(r_min), float(h)
 
 
-def _report_from_integrals(ints: dict, shape: CrossSection, resolution: int,
-                           quad_error: float) -> GeometryReport:
+def _report_from_integrals(ints: dict, bnd: SmoothBoundary | PolygonBoundary,
+                           resolution: int, quad_error: float):
     area = ints["area"]
     R = ints["first_moment"] / area
     a = np.sqrt(area / (2.0 * np.pi))
     delta = ints["inv_r2"] - 2.0 * np.pi
-    r_max, r_min, h = _extrema(shape)
+    r_max, r_min, h = _extrema(bnd.shape)
     rep = GeometryReport(
         area=area,
         R=R,
@@ -228,10 +234,11 @@ def _report_from_integrals(ints: dict, shape: CrossSection, resolution: int,
         is_thick=bool(delta >= -1e-12),
         quad_error=quad_error,
         resolution=resolution,
+        boundary=bnd,
     )
-    for f in fields(rep):
-        if not np.isfinite(value := getattr(rep, f.name)):
-            raise InvalidShapeError(f"report field {f.name} is {value}: "
+    for name, value in rep.to_dict().items():
+        if not np.isfinite(value):
+            raise InvalidShapeError(f"report field {name} is {value}: "
                                     "the shape's scale over- or underflows")
     return rep
 
@@ -248,8 +255,9 @@ def geometry_report(shape: CrossSection) -> GeometryReport:
     naming it.
     """
     if isinstance(shape, Polygon):
-        ints = _polygon_integrals(boundary_nodes(shape))
-        return _report_from_integrals(ints, shape, len(shape.vertices), 0.0)
+        bnd = boundary_nodes(shape)
+        return _report_from_integrals(_polygon_integrals(bnd), bnd,
+                                      len(shape.vertices), 0.0)
 
     n = 2 * DEFAULT_RESOLUTION
     while True:
@@ -267,7 +275,7 @@ def geometry_report(shape: CrossSection) -> GeometryReport:
                 )
             break
         n *= 2
-    rep = _report_from_integrals(ints, shape, n, err)
+    rep = _report_from_integrals(ints, bnd, n, err)
     speed3 = np.min(bnd.speed) ** 3
     if not speed3 >= np.finfo(float).tiny:
         raise InvalidShapeError(
@@ -286,24 +294,24 @@ def width_height(shape: CrossSection) -> tuple[float, float]:
     return h, r_max - r_min
 
 
-def surface_set_length(shape: CrossSection, b: float) -> float:
-    """Arc length of S(b) = {x in boundary : n(x) . e_r > b}.
+def surface_set_length(bnd: SmoothBoundary | PolygonBoundary,
+                       b: float) -> float:
+    """Arc length of S(b) = {x in boundary : n(x) . e_r > b} on a checked
+    section (say a report's `boundary`); samples nothing.
 
-    On a smooth kind n_r falls from 1 at t = 0 to -1 at t = pi, so S(b) is
-    the one arc |t| < t_b around the outermost point: twice the speed
-    integrated over [0, t_b].  Polygons sum the lengths of edges whose
-    constant normal clears the threshold.
+    A polygon sums the lengths of the edges whose constant normal clears
+    the threshold.  A smooth kind, checked convex and z -> -z symmetric,
+    has n_r falling from 1 at t = 0 to -1 at t = pi, so S(b) is the one
+    arc |t| < t_b around the outermost point: twice the speed integrated
+    over [0, t_b].
     """
     if not 0.0 <= b < 1.0:
         raise ValueError("threshold b must lie in [0, 1)")
-    if isinstance(shape, Polygon):
-        bnd = boundary_nodes(shape)
+    if isinstance(bnd, PolygonBoundary):
         return float(np.sum(bnd.edge_lengths[bnd.edge_normal_r > b]))
 
-    # checks the convexity and z -> -z symmetry the one arc rests on
-    boundary_nodes(shape, 1024)
-
     # twice the speed over [0, t_b]: 2 (t_b/2) sum_i w_i speed(t_b (x_i+1)/2)
+    shape = bnd.shape
     t_b = _normal_crossing(shape, b)
     (dr, dz), _ = shape.derivs(t_b * _GAUSS_NODES)
     return float(t_b * np.sum(_GAUSS_W * np.hypot(dr, dz)))

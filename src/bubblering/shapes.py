@@ -195,9 +195,10 @@ class SmoothBoundary:
 
     t is the uniform parameter grid; weights are arc-length trapezoidal
     weights (spectrally accurate for smooth closed curves) summing to the
-    perimeter.
+    perimeter.  `shape` is the section that was sampled and checked.
     """
 
+    shape: CrossSection
     t: np.ndarray
     r: np.ndarray
     z: np.ndarray
@@ -221,9 +222,11 @@ class PolygonBoundary:
     """Exact per-edge data of a convex polygon boundary.
 
     Pointwise curvature does not exist; turning angles at the vertices
-    stand in for the curvature integral.
+    stand in for the curvature integral.  `shape` is the polygon that was
+    checked.
     """
 
+    shape: Polygon
     vertices: np.ndarray          # (n, 2), CCW
     edge_lengths: np.ndarray      # (n,), edge i joins vertex i to i+1
     edge_normal_r: np.ndarray
@@ -258,7 +261,7 @@ def _smooth_boundary(shape, n: int) -> SmoothBoundary:
                            for a in (r, speed, nr, kappa))
     z, nz = (np.concatenate([a, -a[mirror]]) for a in (z, nz))
     return SmoothBoundary(
-        t=t, r=r, z=z, speed=speed,
+        shape=shape, t=t, r=r, z=z, speed=speed,
         normal_r=nr, normal_z=nz, curvature=kappa,
         weights=speed * (2.0 * np.pi / n),
     )
@@ -300,15 +303,19 @@ def _polygon_boundary(shape: Polygon) -> PolygonBoundary:
         raise InvalidShapeError(
             f"polygon is not convex: negative turning angle {np.min(turning):.3g}"
         )
-    # z -> -z symmetry: each mirrored vertex (column) is near some vertex
-    scale = max(1.0, float(np.max(np.abs(v))))
+    # a pentagram turns left at every vertex too, through 4 pi
+    if abs(float(np.sum(turning)) - 2.0 * np.pi) > 1e-9:
+        raise InvalidShapeError("polygon winds more than once")
+    # z -> -z symmetry: each mirrored vertex (column) is near some vertex,
+    # relative to the polygon's size
+    scale = float(np.max(np.abs(v)))
     dist = np.hypot(v[:, None, 0] - v[None, :, 0],
                     v[:, None, 1] + v[None, :, 1])
     if np.max(np.min(dist, axis=0)) > 1e-12 * scale:
         raise InvalidShapeError("polygon is not symmetric under z -> -z")
     return PolygonBoundary(
-        vertices=v, edge_lengths=lengths, edge_normal_r=nr, edge_normal_z=nz,
-        turning_angles=turning,
+        shape=shape, vertices=v, edge_lengths=lengths, edge_normal_r=nr,
+        edge_normal_z=nz, turning_angles=turning,
     )
 
 

@@ -69,9 +69,9 @@ class SolverError(RuntimeError):
 
 @dataclass
 class BoundarySolution:
-    """Single-layer density and boundary traces of one solve."""
+    """Single-layer density and boundary traces of one solve on the checked
+    section `boundary`."""
 
-    shape: CrossSection
     boundary: SmoothBoundary
     density: np.ndarray
     psi_trace: np.ndarray
@@ -327,19 +327,15 @@ def _first_kind_solve(mat: np.ndarray, rhs: np.ndarray):
     return lu_solve(lu, rhs, check_finite=False), cond
 
 
-def _smooth_or_raise(shape, resolution) -> SmoothBoundary:
-    if isinstance(shape, Polygon):
-        raise SolverError("the stream solver needs a smooth boundary; "
-                          "polygons carry no pointwise curvature")
-    return boundary_nodes(shape, resolution)
-
-
 def _solve_affine(shape: CrossSection, resolution):
     """One LU, two right-hand sides: the circulation column (rhs[m] = -1)
     and the unit-W column (rhs[:m] = r^2/2).  Returns (bnd, cond, cols),
     cols = (density, psi_trace, dn_psi, gamma), each with a last axis
     [W = 0, per unit W], since the solution is affine in W."""
-    bnd = _smooth_or_raise(shape, resolution)
+    if isinstance(shape, Polygon):
+        raise SolverError("the stream solver needs a smooth boundary; "
+                          "polygons carry no pointwise curvature")
+    bnd = boundary_nodes(shape, resolution)
     n = bnd.n_nodes
     half = n // 2
     m = half + 1
@@ -366,11 +362,11 @@ def _solve_affine(shape: CrossSection, resolution):
                        sol[m])
 
 
-def _solution_at(shape, bnd, cond, cols, W: float) -> BoundarySolution:
+def _solution_at(bnd, cond, cols, W: float) -> BoundarySolution:
     phi, psi_trace, dn_psi, gamma = (c[..., 0] + W * c[..., 1] for c in cols)
     circulation = -float(np.sum(bnd.weights / bnd.r * dn_psi))
     return BoundarySolution(
-        shape=shape, boundary=bnd, density=phi, psi_trace=psi_trace,
+        boundary=bnd, density=phi, psi_trace=psi_trace,
         dn_psi=dn_psi, W=float(W), gamma=float(gamma),
         circulation=circulation, condition_number=float(cond),
         resolution=bnd.n_nodes,
@@ -395,7 +391,7 @@ def solve_dirichlet(shape: CrossSection, W: float,
     """
     if not np.isfinite(W):
         raise ValueError("translation speed W must be finite")
-    return _solution_at(shape, *_solve_affine(shape, resolution), W)
+    return _solution_at(*_solve_affine(shape, resolution), W)
 
 
 def evaluate_stream(sol_or_density, bnd: SmoothBoundary | None = None,
@@ -420,15 +416,15 @@ def dynamic_residual(shape: CrossSection, sol: BoundarySolution,
 
     Reports the L2 and sup norms of the pointwise defect, the gap of its
     boundary integral, and the integrated violation of the sign condition
-    dPsi/dn <= 0 for the co-moving stream function.
+    dPsi/dn <= 0 for the co-moving stream function, all on the solution's
+    boundary.  `shape` must be `sol.boundary.shape`, else ValueError.
     """
     if not 0 < we < np.inf:
         raise ValueError("Weber number must be finite and positive")
     if not np.isfinite(lam):
         raise ValueError("Lagrange multiplier lam must be finite")
-    if isinstance(shape, Polygon):
-        raise SolverError("dynamic residual needs pointwise curvature; "
-                          "polygons are geometry-only")
+    if shape != sol.boundary.shape:
+        raise ValueError("shape is not the section of the solution")
     bnd = sol.boundary
     H = bnd.curvature + bnd.normal_r / bnd.r
     flow = sol.dn_psi / bnd.r - sol.W * bnd.normal_r
@@ -489,4 +485,4 @@ def optimal_W_lam(shape: CrossSection, we: float,
     lam = np.maximum(0.0, -(G @ w) / np.sum(w))
     best = int(np.argmin((G + lam[:, None]) ** 2 @ w))
     W = float(cands[best])
-    return _solution_at(shape, bnd, cond, cols, W), W, float(lam[best])
+    return _solution_at(bnd, cond, cols, W), W, float(lam[best])

@@ -112,8 +112,9 @@ def test_05_proof_chain_soundness():
             h, dR = width_height(scaled)
             b = np.pi / (36 * R * R) if R > np.sqrt(np.pi) / 6 else 0.5
             assert 2 * h >= 2 * np.pi / (3 * R)
-            assert surface_set_length(scaled, b) >= np.pi / (3 * R)
-            assert surface_set_length(scaled, 0.0) <= 2 * h + 6 * R + 1e-10
+            bnd = boundary_nodes(scaled)
+            assert surface_set_length(bnd, b) >= np.pi / (3 * R)
+            assert surface_set_length(bnd, 0.0) <= 2 * h + 6 * R + 1e-10
             assert h * dR >= np.pi
             assert dR <= 3 * R
 

@@ -17,7 +17,10 @@ from bubblering.geometry import (
     surface_set_length,
     width_height,
 )
-from bubblering.shapes import Disk, FourierStar, Polygon, random_smooth_shape
+from bubblering import shapes
+from bubblering.shapes import (Disk, Ellipse, FourierStar, Polygon,
+                               boundary_nodes, random_smooth_shape,
+                               shape_from_dict, shape_to_dict)
 
 
 def _normalized(shape):
@@ -92,7 +95,7 @@ def test_certificate_terms_and_measured_variant(shape):
     assert cert.we_min_measured is not None
     # measured terms reproduce their defining formulas
     b = cert.b_star
-    s_b = surface_set_length(shape, b)
+    s_b = surface_set_length(boundary_nodes(shape), b)
     h, dR = width_height(shape)
     assert_allclose(cert.term_curvature_measured,
                     2 * b * s_b**2 / rep.r_max, rtol=1e-12)
@@ -100,6 +103,38 @@ def test_certificate_terms_and_measured_variant(shape):
                     4 * max(rep.delta, 0.0) * h**2 / (4 * h + 2 * dR),
                     rtol=1e-12)
     assert cert.best >= cert.we_min
+
+
+@pytest.mark.parametrize("shape, other", [
+    (Disk(R0=2.0, rho0=0.5), Disk(R0=2.0, rho0=0.6)),
+    (Disk(R0=2.0, rho0=0.5), Ellipse(R0=2.0, m=0.5, n=0.5)),
+    (FourierStar(R0=3.0, base=1.0, coeffs=(0.0, 0.05)),
+     FourierStar(R0=3.0, base=1.0, coeffs=(0.0, 0.04))),
+    (Polygon(vertices=((1.0, -0.5), (2.0, 0.0), (1.0, 0.5))),
+     Polygon(vertices=((1.0, -0.5), (2.1, 0.0), (1.0, 0.5)))),
+], ids=["disk", "disk-ellipse", "fourier", "polygon"])
+def test_certificate_refuses_another_shape(shape, other):
+    # a report's |S(b*)| is measured on the section it checked
+    rep = geometry_report(shape)
+    with pytest.raises(ValueError, match="not the section"):
+        explicit_bound(rep, shape=other)
+    # an equal shape read back from its file is the same section
+    again = shape_from_dict(shape_to_dict(shape))
+    assert again is not shape
+    assert explicit_bound(rep, shape=again) == explicit_bound(rep, shape=shape)
+
+
+@pytest.mark.parametrize("shape", [
+    Disk(R0=1.55, rho0=np.sqrt(2.0)),
+    FourierStar(R0=3.0, base=1.0, coeffs=(0.0, 0.05, -0.02)),
+    Polygon(vertices=((1.0, -0.5), (2.0, -0.8), (2.5, 0.0), (2.0, 0.8),
+                      (1.0, 0.5))),
+], ids=["disk", "fourier", "polygon"])
+def test_certificate_samples_no_boundary(count_calls, shape):
+    rep = geometry_report(shape)
+    calls = count_calls(shapes, "boundary_nodes")
+    explicit_bound(rep, shape=shape)
+    assert calls == []
 
 
 def test_bound_shape_self_consistency():
@@ -122,8 +157,9 @@ def test_chain_soundness_random_shapes():
         h, dR = width_height(scaled)
         b = np.pi / (36 * R * R) if R > np.sqrt(np.pi) / 6 else 0.5
         assert 2 * h >= 2 * np.pi / (3 * R) - 1e-10
-        assert surface_set_length(scaled, b) >= np.pi / (3 * R) - 1e-10
-        assert surface_set_length(scaled, 0.0) <= 2 * h + 6 * R + 1e-10
+        bnd = boundary_nodes(scaled)
+        assert surface_set_length(bnd, b) >= np.pi / (3 * R) - 1e-10
+        assert surface_set_length(bnd, 0.0) <= 2 * h + 6 * R + 1e-10
         assert h * dR >= np.pi - 1e-10
         assert dR <= 3 * R + 1e-10
 

@@ -200,6 +200,16 @@ def test_malformed_shape_type_is_validation_error(tmp_path, payload):
     {"kind": "disk", "params": {"R0": 1.0, "rho0": 1.0 - 1e-9}},
     {"kind": "polygon",
      "params": {"vertices": SQUARE["params"]["vertices"][::-1]}},
+    # the report's check is the only one bound runs on a section: a
+    # non-convex star, a pentagram and an asymmetric tiny triangle
+    {"kind": "fourier-star",
+     "params": {"R0": 3.0, "base": 1.0, "coeffs": [0.0, 0.4]}},
+    {"kind": "polygon",
+     "params": {"vertices": [[3.0 + np.cos(0.4 * np.pi * k),
+                              np.sin(0.4 * np.pi * k)]
+                             for k in (0, 2, 4, 1, 3)]}},
+    {"kind": "polygon",
+     "params": {"vertices": [[1e-13, -1e-13], [3e-13, 0.0], [1e-13, 2e-13]]}},
 ])
 @pytest.mark.parametrize("argv", [["analyze"], ["bound", "--we", "0.1"],
                                   ["solve", "--we", "1",
@@ -236,8 +246,8 @@ def test_bound_builds_one_geometry_report(tmp_path, count_calls, payload):
     assert main(["bound", "--shape", shape, "--we", "0.1",
                  "--out", str(tmp_path / "a.json")]) == 0
     assert len(calls) == 1
-    # one sample for the report, one for surface_set_length's check
-    assert len(samples) == 2
+    # the report's sample is the one the certificate measures on
+    assert len(samples) == 1
 
 
 def test_underflowing_report_is_validation_error(tmp_path, capsys):
@@ -287,6 +297,19 @@ def test_verify_lemmas_deterministic(tmp_path):
         "outer-radius-ratio", "proof-chain"}
     for suite in report["suites"]:
         assert suite["cases"] > 0
+
+
+def test_verify_lemmas_samples_each_proof_chain_shape_once(tmp_path,
+                                                          count_calls):
+    # the proof chain measures |S(b)| on its report's checked boundary;
+    # it is the only suite whose shapes are normalized to area 2 pi
+    from bubblering import shapes
+    samples = count_calls(shapes, "boundary_nodes")
+    assert main(["verify-lemmas", "--seed", "42", "--count", "5",
+                 "--out", str(tmp_path / "a.json")]) == 0
+    chain = [args[0] for args in samples
+             if abs(args[0].area - 2.0 * np.pi) < 1e-9]
+    assert len(chain) == len(set(chain)) == 5
 
 
 def _strict_json(path):

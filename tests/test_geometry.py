@@ -152,15 +152,16 @@ def test_surface_set_length_disk():
     # S(b) on a circle: n_r = cos t > b on an arc of length 2 rho acos(b)
     shape = Disk(R0=2.0, rho0=0.7)
     for b in [0.0, 0.3, 0.9]:
-        assert_allclose(surface_set_length(shape, b),
+        assert_allclose(surface_set_length(boundary_nodes(shape), b),
                         2.0 * 0.7 * np.arccos(b), rtol=1e-9)
     rep = geometry_report(shape)
-    assert_allclose(surface_set_length(shape, 0.0), rep.perimeter / 2,
-                    rtol=1e-9)
+    assert_allclose(surface_set_length(boundary_nodes(shape), 0.0),
+                    rep.perimeter / 2, rtol=1e-9)
     # tall, moderate and 20:1 flat ellipses against the closed form
     for R0, m, n in [(3.0, 0.3, 2.0), (3.0, 1.2, 0.6), (5.0, 2.0, 0.1)]:
         for b in [0.0, 0.01, 0.3, 0.9]:
-            assert_allclose(surface_set_length(Ellipse(R0=R0, m=m, n=n), b),
+            bnd = boundary_nodes(Ellipse(R0=R0, m=m, n=n))
+            assert_allclose(surface_set_length(bnd, b),
                             _ellipse_arc_mpmath(m, n, b), rtol=1e-11,
                             err_msg=f"m={m}, n={n}, b={b}")
 
@@ -225,7 +226,8 @@ def test_surface_set_length_is_the_60_point_gauss_rule():
 
             t_b = _normal_crossing(shape, b)
             oracle = 2.0 * fixed_quad(speed, 0.0, t_b, n=60)[0]
-            assert_allclose(surface_set_length(shape, b), oracle, rtol=1e-14)
+            assert_allclose(surface_set_length(boundary_nodes(shape), b),
+                            oracle, rtol=1e-14)
 
 
 def test_normal_crossing_derivs_calls():
@@ -374,6 +376,29 @@ def test_report_samples_once_per_resolution(count_calls, shape, resolution):
     assert geometry_report(shape).resolution == resolution
     assert calls == [(shape, n) for n in (1024, 2048, 4096, 8192)
                      if n <= resolution]
+
+
+REPORT_FIELDS = {"area", "R", "a", "mu", "delta", "total_mean_curvature",
+                 "r_max", "r_min", "height_h", "perimeter", "is_thick",
+                 "quad_error", "resolution"}
+
+
+@pytest.mark.parametrize("shape", [
+    Disk(R0=2.0, rho0=0.7),
+    Disk(R0=1.0, rho0=1.0 - 2e-4),              # doubles to 4096 nodes
+    Ellipse(R0=30.0, m=1.0, n=0.05),
+    FourierStar(R0=3.0, base=1.0, coeffs=(0.0, 0.05, -0.02)),
+    POLYGON,
+], ids=["disk", "near-axis-disk", "ellipse-20-1", "fourier-star", "polygon"])
+def test_report_keeps_its_checked_boundary(shape):
+    rep = geometry_report(shape)
+    assert rep.boundary.shape == shape
+    if not isinstance(shape, Polygon):
+        assert rep.boundary.n_nodes == rep.resolution
+    # the boundary is neither serialized nor compared
+    assert set(rep.to_dict()) == REPORT_FIELDS
+    assert geometry_report(shape) == rep
+    assert "boundary" not in repr(rep)
 
 
 def _two_sample_estimate(shape, n):

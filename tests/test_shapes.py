@@ -85,6 +85,28 @@ def test_polygon_symmetry_tolerance(offset, symmetric):
             boundary_nodes(poly)
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1.0])
+def test_polygon_symmetry_tolerance_is_relative(scale):
+    # (1, 2) misses its mirror (1, -2) by 1 * scale, far above the
+    # tolerance 1e-12 * scale at any size
+    tri = Polygon(vertices=((1.0 * scale, -1.0 * scale), (3.0 * scale, 0.0),
+                            (1.0 * scale, 2.0 * scale)))
+    with pytest.raises(InvalidShapeError, match="not symmetric"):
+        boundary_nodes(tri)
+
+
+def test_polygon_that_winds_twice_is_rejected():
+    # the regular pentagon around (3, 0) visited in the order 0, 2, 4, 1, 3
+    # is a pentagram: it turns left at every vertex, through 4 pi in all
+    t = 2.0 * np.pi * np.arange(5) / 5
+    pentagon = Polygon(vertices=tuple(zip(3.0 + np.cos(t), np.sin(t))))
+    bnd = boundary_nodes(pentagon)
+    assert_allclose(np.sum(bnd.turning_angles), 2.0 * np.pi, rtol=1e-15)
+    star = Polygon(vertices=[pentagon.vertices[i] for i in (0, 2, 4, 1, 3)])
+    with pytest.raises(InvalidShapeError, match="winds more than once"):
+        boundary_nodes(star)
+
+
 def test_polygon_orientation_and_turning():
     square = Polygon(vertices=((1.0, -0.5), (2.0, -0.5), (2.0, 0.5),
                                (1.0, 0.5)))

@@ -193,6 +193,18 @@ def test_max_principle_violation_sign():
         assert rep.max_principle_violation > 0.0
 
 
+@pytest.mark.parametrize("other", [
+    Ellipse(R0=2.0, m=0.8, n=0.61),
+    Polygon(vertices=((1.5, -0.5), (2.5, 0.0), (1.5, 0.5))),
+], ids=["ellipse", "polygon"])
+def test_residual_refuses_another_shape(other):
+    # the residual reads the solution's boundary, which is SHAPE's
+    sol = solve_dirichlet(SHAPE, 0.0, 64)
+    with pytest.raises(ValueError, match="not the section"):
+        dynamic_residual(other, sol, we=1.0, lam=0.0)
+    assert sol.boundary.shape == SHAPE
+
+
 def test_residual_requires_positive_we():
     sol = solve_dirichlet(SHAPE, 0.0, 64)
     with pytest.raises(ValueError):
