@@ -110,6 +110,8 @@ def universal_bound(mu: float, delta: float) -> float:
     """Shape-free lower bound from (mu, delta) alone (normalized units)."""
     if not 0 < mu < np.inf:
         raise ValueError("mu must be finite and positive")
+    if not np.isfinite(delta):
+        raise ValueError("delta must be finite")
     _, _, u2, v2 = _universal_terms(mu, delta)
     return u2 + v2
 

@@ -200,17 +200,17 @@ def _normal_crossing(shape: CrossSection, b: float) -> float:
         f"n_r = {b} crossing did not converge in {_CROSSING_MAXITER} steps")
 
 
-def _extrema(shape: CrossSection) -> tuple[float, float, float]:
-    """(r_max, r_min, h) of a cross-section: vertex extremes of a polygon;
-    on a smooth kind r_max and r_min lie on z = 0, at t = 0 and t = pi, and
-    h is z where n_r = 0 on the upper half (an ellipse's n, bit for bit)."""
-    if isinstance(shape, Polygon):
-        v = np.asarray(shape.vertices, dtype=float)
+def _extrema(bnd: SmoothBoundary | PolygonBoundary):
+    """(r_max, r_min, h) of a checked section: vertex extremes of a polygon;
+    on a smooth kind r_max and r_min are nodes 0 and n/2 (t = 0 and pi, on
+    z = 0), and h is z where n_r = 0 on the upper half (an ellipse's n, bit
+    for bit)."""
+    if isinstance(bnd, PolygonBoundary):
+        v = bnd.vertices
         return (float(np.max(v[:, 0])), float(np.min(v[:, 0])),
                 float(np.max(np.abs(v[:, 1]))))
-    (r_max, r_min), _ = shape.point(np.array([0.0, np.pi]))
-    h = shape.point(_normal_crossing(shape, 0.0))[1]
-    return float(r_max), float(r_min), float(h)
+    h = bnd.shape.point(_normal_crossing(bnd.shape, 0.0))[1]
+    return float(bnd.r[0]), float(bnd.r[bnd.n_nodes // 2]), float(h)
 
 
 def _report_from_integrals(ints: dict, bnd: SmoothBoundary | PolygonBoundary,
@@ -219,7 +219,7 @@ def _report_from_integrals(ints: dict, bnd: SmoothBoundary | PolygonBoundary,
     R = ints["first_moment"] / area
     a = np.sqrt(area / (2.0 * np.pi))
     delta = ints["inv_r2"] - 2.0 * np.pi
-    r_max, r_min, h = _extrema(bnd.shape)
+    r_max, r_min, h = _extrema(bnd)
     rep = GeometryReport(
         area=area,
         R=R,
@@ -288,10 +288,10 @@ def geometry_report(shape: CrossSection) -> GeometryReport:
 # extents, surface sets, centroid ratio
 
 def width_height(shape: CrossSection) -> tuple[float, float]:
-    """Half height h and radial extent r_max - r_min, the same values
-    `geometry_report` records as height_h, r_max and r_min."""
-    r_max, r_min, h = _extrema(shape)
-    return h, r_max - r_min
+    """Half height h and radial extent r_max - r_min, read from
+    `geometry_report(shape)`: it refuses what the report refuses."""
+    rep = geometry_report(shape)
+    return rep.height_h, rep.r_max - rep.r_min
 
 
 def surface_set_length(bnd: SmoothBoundary | PolygonBoundary,

@@ -87,8 +87,9 @@ def ring_kernel_gradient(source, target):
 
 
 # ---------------------------------------------------------------------------
-# split pieces for the Nystrom scheme: pointwise factors only; the solver
-# turns them into quadrature matrices
+# split pieces for the Nystrom scheme: the solver reads `_modulus` and
+# `_modulus_factors` once per orbit of point pairs; the two split functions
+# are the per-pair reference that the tests compare the assembly against
 
 def _modulus_factors(k, q):
     """The kernel factors that depend on a point pair only through its
@@ -105,40 +106,6 @@ def _modulus_factors(k, q):
     return FL, Freg, dFL, RK, REk
 
 
-def _split_factors(r, z, rb, zb, nr=None, nz=None, kappa_diag=None):
-    """One pass over the point pairs for both split kernels.
-
-    Returns (k, q, rho2, FL, Freg, pref, AL, Areg): the single-layer factors
-    of `kernel_split` and, when the target normal (nr, nz) is given, the
-    normal-derivative factors of `gradient_split` (else AL = Areg = None).
-    The modulus and the elliptic log split are computed once for both.
-    """
-    k, q, d1sq, rho2 = _modulus(r, z, rb, zb)
-    FL, Freg, dFL, RKk, REk = _modulus_factors(k, q)
-    pref = np.sqrt(r * rb) / (2.0 * np.pi)
-    if nr is None:
-        return k, q, rho2, FL, Freg, pref, None, None
-
-    dr_ = r - rb
-    dz_ = z - zb
-    ndx = nr * dr_ + nz * dz_  # n . (x - y)
-    # n . grad k = k (nr rho^2 / (2r) - n.dx) / d1^2  (exact identity)
-    ngradk = k * (nr * rho2 / (2.0 * r) - ndx) / d1sq
-    # double-layer factor n.dx / rho^2, diagonal limit kappa/2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dl = np.where(rho2 > 0.0, ndx / np.where(rho2 > 0.0, rho2, 1.0), 0.0)
-    if kappa_diag is not None:
-        diag = rho2 == 0.0
-        dl = np.where(diag, 0.5 * np.asarray(kappa_diag), dl)
-    # n . grad k / q, stable through the diagonal
-    ngradk_q = k * (nr / (2.0 * r) - dl)
-
-    pref_f = nr * np.sqrt(rb / r) / (4.0 * np.pi)
-    AL = pref_f * FL + pref * dFL * ngradk
-    Areg = pref_f * Freg + pref * (RKk * ngradk + REk * ngradk_q)
-    return k, q, rho2, FL, Freg, pref, AL, Areg
-
-
 def kernel_split(r, z, rb, zb):
     """Return (k, q, FL, Freg, pref) with
 
@@ -146,8 +113,9 @@ def kernel_split(r, z, rb, zb):
 
     valid for all point pairs including nearly coincident ones (q -> 0).
     """
-    k, q, _, FL, Freg, pref, _, _ = _split_factors(r, z, rb, zb)
-    return k, q, FL, Freg, pref
+    k, q, _, _ = _modulus(r, z, rb, zb)
+    FL, Freg, _, _, _ = _modulus_factors(k, q)
+    return k, q, FL, Freg, np.sqrt(r * rb) / (2.0 * np.pi)
 
 
 def gradient_split(r, z, rb, zb, nr, nz, kappa_diag=None):
@@ -158,7 +126,23 @@ def gradient_split(r, z, rb, zb, nr, nz, kappa_diag=None):
     both factors smooth up to the diagonal.  (nr, nz) is the unit normal at
     the target x = (r, z); `kappa_diag` supplies the curvature for the
     diagonal limit of the double-layer factor (x - y) . n / |x - y|^2.
+    Returns (q, rho2, AL, Areg), rho2 = |x - y|^2.
     """
-    _, q, rho2, _, _, _, AL, Areg = _split_factors(r, z, rb, zb, nr, nz,
-                                                    kappa_diag)
+    k, q, d1sq, rho2 = _modulus(r, z, rb, zb)
+    FL, Freg, dFL, RKk, REk = _modulus_factors(k, q)
+    pref = np.sqrt(r * rb) / (2.0 * np.pi)
+    ndx = nr * (r - rb) + nz * (z - zb)  # n . (x - y)
+    # n . grad k = k (nr rho^2 / (2r) - n.dx) / d1^2  (exact identity)
+    ngradk = k * (nr * rho2 / (2.0 * r) - ndx) / d1sq
+    # double-layer factor n.dx / rho^2, diagonal limit kappa/2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dl = np.where(rho2 > 0.0, ndx / np.where(rho2 > 0.0, rho2, 1.0), 0.0)
+    if kappa_diag is not None:
+        dl = np.where(rho2 == 0.0, 0.5 * np.asarray(kappa_diag), dl)
+    # n . grad k / q, stable through the diagonal
+    ngradk_q = k * (nr / (2.0 * r) - dl)
+
+    pref_f = nr * np.sqrt(rb / r) / (4.0 * np.pi)
+    AL = pref_f * FL + pref * dFL * ngradk
+    Areg = pref_f * Freg + pref * (RKk * ngradk + REk * ngradk_q)
     return q, rho2, AL, Areg

@@ -280,6 +280,10 @@ def _check_smooth(shape, bnd: SmoothBoundary) -> None:
 
 
 def _polygon_boundary(shape: Polygon) -> PolygonBoundary:
+    if len(shape.vertices) > MAX_RESOLUTION:
+        raise InvalidShapeError(
+            f"polygon has {len(shape.vertices)} vertices, more than "
+            f"{MAX_RESOLUTION}")
     v = np.asarray(shape.vertices, dtype=float)
     if np.min(v[:, 0]) <= 0:
         raise InvalidShapeError(
@@ -307,12 +311,15 @@ def _polygon_boundary(shape: Polygon) -> PolygonBoundary:
     if abs(float(np.sum(turning)) - 2.0 * np.pi) > 1e-9:
         raise InvalidShapeError("polygon winds more than once")
     # z -> -z symmetry: each mirrored vertex (column) is near some vertex,
-    # relative to the polygon's size
+    # relative to the polygon's size; 512 columns at a time keep the
+    # distance table at V x 512, not V x V
     scale = float(np.max(np.abs(v)))
-    dist = np.hypot(v[:, None, 0] - v[None, :, 0],
-                    v[:, None, 1] + v[None, :, 1])
-    if np.max(np.min(dist, axis=0)) > 1e-12 * scale:
-        raise InvalidShapeError("polygon is not symmetric under z -> -z")
+    for lo in range(0, len(v), 512):
+        w = v[lo:lo + 512]
+        dist = np.hypot(v[:, None, 0] - w[None, :, 0],
+                        v[:, None, 1] + w[None, :, 1])
+        if np.max(np.min(dist, axis=0)) > 1e-12 * scale:
+            raise InvalidShapeError("polygon is not symmetric under z -> -z")
     return PolygonBoundary(
         shape=shape, vertices=v, edge_lengths=lengths, edge_normal_r=nr,
         edge_normal_z=nz, turning_angles=turning,
@@ -328,8 +335,9 @@ def boundary_nodes(shape: CrossSection,
 
     Raises ValueError for fewer than 8 or more than MAX_RESOLUTION nodes
     (before any work that scales with n), and InvalidShapeError for
-    non-convex curves, curves touching the axis, or polygons not symmetric
-    under z -> -z (the smooth kinds are symmetric by construction).
+    polygons with more than MAX_RESOLUTION vertices (likewise), non-convex
+    curves, curves touching the axis, or polygons not symmetric under
+    z -> -z (the smooth kinds are symmetric by construction).
     """
     if isinstance(shape, Polygon):
         shape.validate()

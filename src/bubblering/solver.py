@@ -191,7 +191,7 @@ def _folded_orbits(n: int):
 def _orbit_coefficients(bnd: SmoothBoundary):
     """Every kernel factor that is symmetric in the point pair, once per
     orbit representative of `_pair_orbits`: the rows (P, D3, D4, B2) of a
-    (4, m + 1) array, the last column the zero sentinel of `_folded_orbits`,
+    (4, m + 1) array, the last column the zero sentinel of `_gather`,
 
         P  = h Freg - Rlog FL,
         B1 = pref k (h RKk - Rlog dFL) / d1^2,   B2 = pref k h REk,
@@ -231,32 +231,32 @@ def _orbit_coefficients(bnd: SmoothBoundary):
     return coef
 
 
-def _gather(bnd: SmoothBoundary, maps):
+def _gather(bnd: SmoothBoundary, col, mirror):
     """S and A on nodes 0..c-1 (targets and columns) from the orbit
-    coefficients: each (orbit map, sign) of `maps` adds the source
-    y = (r_j, sign z_j).  With P and D3 summed over the maps,
+    coefficients: orbit map `col` adds the source y = (r_j, z_j), `mirror`
+    y = (r_j, -z_j) or the zero sentinel.  With P and D3 summed over both,
 
         S_ij = P (sqrt(r_i) / 2 pi) (sqrt(r_j) speed_j),
         A_ij = nr_i / (2 r_i) (S_ij + speed_j D3)
-               - speed_j sum_maps n_i.(x_i - y) D4,
+               - speed_j sum_y n_i.(x_i - y) D4,
 
     less speed_i B2 kappa_i / 2 on the diagonal.  n_i.(x_i - y) is taken
     per source: the sum and difference of a source and its mirror would
     cancel near the diagonal."""
     P, D3, D4, B2 = _orbit_coefficients(bnd)
-    c = maps[0][0].shape[0]
+    c = col.shape[0]
     r, z, speed = bnd.r[:c], bnd.z[:c], bnd.speed[:c]
     nr, nz = bnd.normal_r[:c, None], bnd.normal_z[:c, None]
     nrdx = nr * (r[:, None] - r)
-    S = sum(P[orbit] for orbit, _ in maps)
+    S = P[col] + P[mirror]
     S *= np.outer(np.sqrt(r) / (2.0 * np.pi), np.sqrt(r) * speed)
-    A = sum(D3[orbit] for orbit, _ in maps) * speed
+    A = (D3[col] + D3[mirror]) * speed
     A += S
     A *= nr / (2.0 * r[:, None])
-    A -= sum((nrdx + nz * (z[:, None] - sign * z)) * D4[orbit]
-             for orbit, sign in maps) * speed
+    A -= ((nrdx + nz * (z[:, None] - z)) * D4[col]
+          + (nrdx + nz * (z[:, None] + z)) * D4[mirror]) * speed
     diag = np.diag_indices(c)
-    A[diag] -= 0.5 * speed * B2[maps[0][0][diag]] * bnd.curvature[:c]
+    A[diag] -= 0.5 * speed * B2[col[diag]] * bnd.curvature[:c]
     return S, A
 
 
@@ -265,14 +265,15 @@ def _assemble(bnd: SmoothBoundary) -> tuple[np.ndarray, np.ndarray]:
     matrix A (psi = S phi, dpsi/dn = -r phi / 2 + A phi) of a mirror-even
     density, folded: target nodes 0..n/2, and column j carries node j and
     its mirror n - j."""
-    col, mirror = _folded_orbits(bnd.n_nodes)
-    return _gather(bnd, [(col, 1.0), (mirror, -1.0)])
+    return _gather(bnd, *_folded_orbits(bnd.n_nodes))
 
 
 def _unfolded(bnd: SmoothBoundary) -> tuple[np.ndarray, np.ndarray]:
-    """S and A on all n target nodes and all n columns."""
-    node = np.arange(bnd.n_nodes)
-    return _gather(bnd, [(_orbit_of(bnd.n_nodes, node[:, None], node), 1.0)])
+    """S and A on all n target nodes and all n columns, with no mirror
+    source: every entry of the mirror map is the zero sentinel."""
+    n = bnd.n_nodes
+    col = _orbit_of(n, *np.ogrid[:n, :n])
+    return _gather(bnd, col, np.full_like(col, _pair_orbits(n)[0].size))
 
 
 def single_layer_matrix(bnd: SmoothBoundary) -> np.ndarray:

@@ -46,6 +46,12 @@ def test_delta_term_constant():
                         rtol=1e-14)
 
 
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+def test_universal_bound_refuses_non_finite_delta(delta):
+    with pytest.raises(ValueError, match="delta must be finite"):
+        universal_bound(1.0, delta)
+
+
 def test_negative_delta_clamped():
     assert universal_bound(1.5, -2.0) == universal_bound(1.5, 0.0)
 

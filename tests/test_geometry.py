@@ -278,6 +278,39 @@ def test_width_height_disk(shape):
         assert_allclose(dR, 1.4, rtol=1e-10)
 
 
+@pytest.mark.parametrize("shape", [
+    Ellipse(R0=0.5, m=1.0, n=1.0),
+    FourierStar(R0=3.0, base=1.0, coeffs=(0.0, 0.4)),
+    Ellipse(R0=np.nan, m=1.0, n=1.0),
+    Polygon(vertices=POLYGON.vertices[::-1]),
+], ids=["touches-axis", "non-convex-star", "nan-R0", "clockwise-polygon"])
+def test_width_height_refuses_what_the_report_refuses(shape):
+    with pytest.raises(InvalidShapeError):
+        geometry_report(shape)
+    with pytest.raises(InvalidShapeError):
+        width_height(shape)
+
+
+def test_extents_are_the_checked_sample():
+    # r_max and r_min are nodes 0 and n/2 (t = 0 and pi) of the report's
+    # sample, at every resolution the report stops at
+    rng = np.random.default_rng(17)
+    cases = [random_smooth_shape(rng) for _ in range(30)]
+    cases += [Disk(R0=1.0, rho0=1.0 - eps) for eps in (1e-2, 2e-4, 2e-5)]
+    cases += [random_convex_polygon(rng) for _ in range(30)]
+    resolutions = set()
+    for shape in cases:
+        rep = geometry_report(shape)
+        assert width_height(shape) == (rep.height_h, rep.r_max - rep.r_min)
+        if isinstance(shape, Polygon):
+            continue
+        n = rep.boundary.n_nodes
+        assert (rep.r_max, rep.r_min) == (rep.boundary.r[0],
+                                          rep.boundary.r[n // 2])
+        resolutions.add(n)
+    assert {1024, 4096, 8192} <= resolutions
+
+
 def test_weber_number_scaling():
     params = PhysicalParams(rho=2.0, sigma=3.0, beta=1.5)
     we = weber_number(params, area=2.0 * np.pi)

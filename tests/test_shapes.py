@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,40 @@ def test_polygon_that_winds_twice_is_rejected():
     star = Polygon(vertices=[pentagon.vertices[i] for i in (0, 2, 4, 1, 3)])
     with pytest.raises(InvalidShapeError, match="winds more than once"):
         boundary_nodes(star)
+
+
+def _regular_polygon(count):
+    t = 2.0 * np.pi * np.arange(count) / count
+    return Polygon(vertices=tuple(zip(3.0 + np.cos(t), np.sin(t))))
+
+
+def test_polygon_vertex_count_is_capped():
+    # the node cap of the smooth kinds, before any per-vertex array
+    with pytest.raises(InvalidShapeError,
+                       match=f"{MAX_RESOLUTION + 1} vertices"):
+        boundary_nodes(_regular_polygon(MAX_RESOLUTION + 1))
+
+
+def test_polygon_symmetry_check_memory():
+    # a V x V distance table would take 24 V^2 bytes, 216 MB here
+    poly = _regular_polygon(3000)
+    tracemalloc.start()
+    try:
+        boundary_nodes(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
+
+
+def test_polygon_symmetry_is_checked_in_every_block():
+    # vertex 600 of 1200 (t = pi) is its own mirror, so only its column,
+    # in the second block of mirrored vertices, sees it leave z = 0
+    vertices = [list(v) for v in _regular_polygon(1200).vertices]
+    boundary_nodes(Polygon(vertices=vertices))
+    vertices[600][1] += 1e-9
+    with pytest.raises(InvalidShapeError, match="not symmetric"):
+        boundary_nodes(Polygon(vertices=vertices))
 
 
 def test_polygon_orientation_and_turning():

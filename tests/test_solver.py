@@ -331,6 +331,25 @@ def test_orbit_blocks_leave_the_coefficients_unchanged(monkeypatch, shape):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [64, 128])
+@_FOLD_SHAPES
+def test_unfolded_is_the_gather_without_mirror_sources(shape, n):
+    # every column's mirror map entry is the zero sentinel; folding the
+    # unfolded matrices (column n - j onto column j) gives the assembly
+    bnd = boundary_nodes(shape, n)
+    node = np.arange(n)
+    col = solver._orbit_of(n, node[:, None], node)
+    sentinel = np.full((n, n), solver._pair_orbits(n)[0].size)
+    unfolded = solver._unfolded(bnd)
+    for got, want in zip(unfolded, solver._gather(bnd, col, sentinel)):
+        assert np.array_equal(got, want)
+    half = n // 2
+    for full, folded in zip(unfolded, solver._assemble(bnd)):
+        ref = full[:half + 1, :half + 1].copy()
+        ref[:, 1:half] += full[:half + 1, :half:-1]
+        assert np.max(np.abs(folded - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_condition_gate_refuses_solves(monkeypatch):
     monkeypatch.setattr(solver, "MAX_CONDITION", 10.0)
     with pytest.raises(SolverError):
