@@ -96,8 +96,8 @@ class PhysicalParams:
     beta: float
 
     def __post_init__(self):
-        if self.rho <= 0 or self.sigma <= 0 or self.beta <= 0:
-            raise ValueError("rho, sigma and beta must all be positive")
+        if not all(0 < x < np.inf for x in (self.rho, self.sigma, self.beta)):
+            raise ValueError("rho, sigma and beta must be finite and positive")
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +123,6 @@ def _smooth_integrals(bnd: SmoothBoundary) -> dict:
     }
 
 
-def _edge_int_inv_r(r1: float, r2: float, length: float) -> float:
-    """int ds / r along a straight edge with r varying linearly."""
-    if abs(r2 - r1) < 1e-9 * max(r1, r2):
-        rm = 0.5 * (r1 + r2)
-        d = (r2 - r1) / rm
-        # log(r2/r1)/(r2-r1) expanded around r1 = r2
-        return length / rm * (1.0 + d * d / 12.0)
-    return length * np.log(r2 / r1) / (r2 - r1)
-
-
 def _polygon_integrals(bnd: PolygonBoundary) -> dict:
     v = bnd.vertices
     r1, z1 = v[:, 0], v[:, 1]
@@ -141,17 +131,23 @@ def _polygon_integrals(bnd: PolygonBoundary) -> dict:
     area = 0.5 * float(np.sum(cross))
     # first moment int_E r dA by the exact shoelace moment formula
     first_moment = float(np.sum(cross * (r1 + r2))) / 6.0
-    inv_r = np.array(
-        [_edge_int_inv_r(a, b, L) for a, b, L in zip(r1, r2, bnd.edge_lengths)]
-    )
+    # int ds / r along each edge, r linear in arc length; on a near edge
+    # log(r2/r1)/(r2-r1) expanded around r1 = r2
+    L = bnd.edge_lengths
+    near = np.abs(r2 - r1) < 1e-9 * np.maximum(r1, r2)
+    rm = 0.5 * (r1 + r2)
+    d = (r2 - r1) / rm
+    with np.errstate(divide="ignore", invalid="ignore"):   # unused on near
+        inv_r = np.where(near, L / rm * (1.0 + d * d / 12.0),
+                         L * np.log(r2 / r1) / (r2 - r1))
+    # the azimuthal curvature sum of n_r ds / r is -inv_r2, bit for bit
     inv_r2 = float(np.sum(-bnd.edge_normal_r * inv_r))
-    azim = float(np.sum(bnd.edge_normal_r * inv_r))
     curv = float(np.sum(bnd.turning_angles))
     return {
         "area": area,
         "first_moment": first_moment,
         "inv_r2": inv_r2,
-        "total_mean_curvature": curv + azim,
+        "total_mean_curvature": curv - inv_r2,
         "perimeter": bnd.perimeter,
     }
 
@@ -332,8 +328,8 @@ def outer_radius_ratio(shape: CrossSection) -> float:
 
 def weber_number(params: PhysicalParams, area: float) -> float:
     """We = sqrt(2 pi) rho beta^2 / (sigma sqrt(area))."""
-    if area <= 0:
-        raise ValueError("area must be positive")
+    if not 0 < area < np.inf:
+        raise ValueError("area must be finite and positive")
     return float(
         np.sqrt(2.0 * np.pi) * params.rho * params.beta**2
         / (params.sigma * np.sqrt(area))

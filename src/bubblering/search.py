@@ -21,6 +21,7 @@ solve, but still counts toward the budget and gets its own log row.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,17 +176,21 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
 
     (W, lambda) are exact per shape (`optimal_W_lam`, one solve); a bounded
     Nelder-Mead from a `seed`-ed simplex searches the shape parameters, and
-    is deterministic for fixed seed and budget.  budget counts evaluations;
-    budget = 1 returns the initial candidate's residual.  Each distinct
-    parameter vector (exact bytes, so 0.0 and -0.0 differ) costs one solve
-    or one rejected shape; an evaluation that repeats a vector logs a copy
-    of its first row, with its own eval number, and solves nothing.
-    n_solves counts the distinct vectors.
+    is deterministic for fixed seed and budget.  budget, an integer >= 1,
+    counts evaluations; budget = 1 returns the initial candidate's
+    residual.  Each distinct parameter vector (exact bytes, so 0.0 and -0.0
+    differ) costs one solve or one rejected shape; an evaluation that
+    repeats a vector logs a copy of its first row, with its own eval
+    number, and solves nothing.  n_solves counts the distinct vectors.
     """
     if isinstance(family, str):
         family = family_from_name(family)
     if not 0 < we < np.inf:
         raise ValueError("Weber number must be finite and positive")
+    try:
+        budget = operator.index(budget)
+    except TypeError:
+        raise ValueError(f"budget must be an integer, got {budget!r}") from None
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
@@ -234,7 +239,7 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
         family=family.name,
         we=float(we),
         seed=int(seed),
-        budget=int(budget),
+        budget=budget,
         resolution=int(resolution),
         best_params=best["params"],
         best_W=best["W"],

@@ -229,8 +229,7 @@ class PolygonBoundary:
     shape: Polygon
     vertices: np.ndarray          # (n, 2), CCW
     edge_lengths: np.ndarray      # (n,), edge i joins vertex i to i+1
-    edge_normal_r: np.ndarray
-    edge_normal_z: np.ndarray
+    edge_normal_r: np.ndarray     # (n,), outward normal's r component
     turning_angles: np.ndarray    # (n,), exterior angle at each vertex
 
     @property
@@ -298,7 +297,6 @@ def _polygon_boundary(shape: Polygon) -> PolygonBoundary:
             "polygon area is not positive (vertices must be CCW)"
         )
     nr = e[:, 1] / lengths
-    nz = -e[:, 0] / lengths
     prev = np.roll(e, 1, axis=0)
     cross = prev[:, 0] * e[:, 1] - prev[:, 1] * e[:, 0]
     dot = prev[:, 0] * e[:, 0] + prev[:, 1] * e[:, 1]
@@ -310,19 +308,17 @@ def _polygon_boundary(shape: Polygon) -> PolygonBoundary:
     # a pentagram turns left at every vertex too, through 4 pi
     if abs(float(np.sum(turning)) - 2.0 * np.pi) > 1e-9:
         raise InvalidShapeError("polygon winds more than once")
-    # z -> -z symmetry: each mirrored vertex (column) is near some vertex,
-    # relative to the polygon's size; 512 columns at a time keep the
-    # distance table at V x 512, not V x V
-    scale = float(np.max(np.abs(v)))
-    for lo in range(0, len(v), 512):
-        w = v[lo:lo + 512]
-        dist = np.hypot(v[:, None, 0] - w[None, :, 0],
-                        v[:, None, 1] + w[None, :, 1])
-        if np.max(np.min(dist, axis=0)) > 1e-12 * scale:
-            raise InvalidShapeError("polygon is not symmetric under z -> -z")
+    # z -> -z symmetry: the reflection reverses the vertex order, so the
+    # mirror of vertex i must be vertex (k - i) mod V, k the vertex nearest
+    # the mirror of vertex 0; within 1e-12 of the largest |coordinate|
+    k = np.argmin(np.hypot(v[:, 0] - v[0, 0], v[:, 1] + v[0, 1]))
+    w = v[(k - np.arange(len(v))) % len(v)]
+    dist = np.hypot(w[:, 0] - v[:, 0], w[:, 1] + v[:, 1])
+    if np.max(dist) > 1e-12 * float(np.max(np.abs(v))):
+        raise InvalidShapeError("polygon is not symmetric under z -> -z")
     return PolygonBoundary(
         shape=shape, vertices=v, edge_lengths=lengths, edge_normal_r=nr,
-        edge_normal_z=nz, turning_angles=turning,
+        turning_angles=turning,
     )
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from bubblering.geometry import (
     PhysicalParams,
     QuadratureError,
     _normal_crossing,
+    _polygon_integrals,
     disk_delta,
     ellipse_inv_r2_integral,
     geometry_report,
@@ -23,6 +26,7 @@ from bubblering.shapes import (
     Ellipse,
     FourierStar,
     InvalidShapeError,
+    MAX_RESOLUTION,
     Polygon,
     boundary_nodes,
     random_convex_polygon,
@@ -99,6 +103,52 @@ def test_polygon_report_exact():
     # int 1/r^2 dA over [1,2]x[-1/2,1/2] = 1/2 exactly
     assert_allclose(rep.delta, 0.5 - 2.0 * np.pi, rtol=1e-14)
     assert rep.quad_error == 0.0
+
+
+def _edge_inv_r(r1, r2, length):
+    """int ds / r along one edge, the scalar reference formula."""
+    if abs(r2 - r1) < 1e-9 * max(r1, r2):
+        rm = 0.5 * (r1 + r2)
+        d = (r2 - r1) / rm
+        return length / rm * (1.0 + d * d / 12.0)
+    return length * np.log(r2 / r1) / (r2 - r1)
+
+
+def test_polygon_integrals_match_per_edge_formula():
+    # random polygons, and hexagons whose slanted right and left edges
+    # change r by 1e-10 to 5e-9 relative: the series branch with d != 0
+    # below 1e-9, the log branch above
+    rng = np.random.default_rng(18)
+    polys = [random_convex_polygon(rng) for _ in range(50)]
+    for rel in (1e-10, 3e-10, 9e-10, 2e-9, 5e-9):
+        polys.append(Polygon(vertices=(
+            (1.0, -1.0), (2.0, -0.5), (2.0 * (1.0 + rel), 0.0), (2.0, 0.5),
+            (1.0, 1.0), (1.0 - rel, 0.0))))
+    for poly in polys:
+        bnd = boundary_nodes(poly)
+        r1 = bnd.vertices[:, 0]
+        inv_r = np.array([_edge_inv_r(a, b, L) for a, b, L in
+                          zip(r1, np.roll(r1, -1), bnd.edge_lengths)])
+        ints = _polygon_integrals(bnd)
+        assert ints["inv_r2"] == float(np.sum(-bnd.edge_normal_r * inv_r))
+        assert ints["total_mean_curvature"] == (
+            float(np.sum(bnd.turning_angles))
+            + float(np.sum(bnd.edge_normal_r * inv_r)))
+
+
+def test_polygon_report_memory_is_linear():
+    # 8192 vertices, the most a polygon may have: a vertex-by-vertex table
+    # would take 24 V^2 bytes, 1.6 GB
+    t = 2.0 * np.pi * np.arange(MAX_RESOLUTION) / MAX_RESOLUTION
+    poly = Polygon(vertices=tuple(zip(3.0 + np.cos(t), np.sin(t))))
+    tracemalloc.start()
+    try:
+        rep = geometry_report(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.resolution == MAX_RESOLUTION
+    assert peak < 10e6
 
 
 def test_thickness_predicate_disk():
@@ -316,6 +366,22 @@ def test_weber_number_scaling():
     we = weber_number(params, area=2.0 * np.pi)
     assert_allclose(we, np.sqrt(2 * np.pi) * 2.0 * 1.5**2 /
                     (3.0 * np.sqrt(2 * np.pi)), rtol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["rho", "sigma", "beta"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_physical_params_must_be_finite(name, bad):
+    values = dict(rho=1.0, sigma=1.0, beta=1.0)
+    values[name] = bad
+    with pytest.raises(ValueError, match="finite and positive"):
+        PhysicalParams(**values)
+
+
+@pytest.mark.parametrize("area", [np.nan, np.inf])
+def test_weber_number_area_must_be_finite(area):
+    # area = inf used to give We = 0, and NaN gave NaN
+    with pytest.raises(ValueError, match="finite and positive"):
+        weber_number(PhysicalParams(rho=1.0, sigma=1.0, beta=1.0), area)
 
 
 def test_normalize_rescales_to_unit_length_scale():

@@ -35,6 +35,16 @@ def test_coincident_points_rejected():
         ring_kernel_gradient((1.0, 0.0), (-0.5, 0.3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_radius_rejected(bad):
+    # a NaN radius used to pass the positivity check and return NaN
+    for f in (ring_kernel, ring_kernel_gradient):
+        with pytest.raises(ValueError, match="finite positive radii"):
+            f((1.0, 0.0), (bad, 0.3))
+        with pytest.raises(ValueError, match="finite positive radii"):
+            f((bad, 0.0), (np.array([1.0, 2.0]), np.array([0.3, 0.1])))
+
+
 def _mp_kernel(rb, zb, r, z):
     d1sq = (r + rb) ** 2 + (z - zb) ** 2
     m = 4 * r * rb / d1sq

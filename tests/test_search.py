@@ -110,6 +110,11 @@ def test_invalid_arguments():
     # too few nodes is a bad argument, not a rejected shape
     with pytest.raises(ValueError):
         residual_minimize("thick-disk", we=1.0, budget=5, resolution=4)
+    # an integral budget only: 2.5 used to run 3 evaluations under budget 2
+    for budget in (2.5, np.nan):
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            residual_minimize("thick-disk", we=0.5, budget=budget,
+                              resolution=32)
 
 
 def test_low_we_floor_is_positive():

@@ -142,6 +142,36 @@ def test_polygon_symmetry_is_checked_in_every_block():
         boundary_nodes(Polygon(vertices=vertices))
 
 
+def test_odd_symmetric_polygon_accepted_from_every_first_vertex():
+    # the mirror order pairs vertex i with vertex (k - i) mod V wherever
+    # the list starts; an odd V has one vertex on z = 0
+    rng = np.random.default_rng(5)
+    polys = [_regular_polygon(V) for V in (3, 5, 7, 9, 101)]
+    for _ in range(10):
+        # random points on the upper half of an ellipse, the vertex (4, 0)
+        # and the mirrors of the points
+        t = np.sort(rng.uniform(0.1, np.pi - 0.1, int(rng.integers(1, 8))))
+        upper = list(zip(3.0 + np.cos(t), 0.7 * np.sin(t)))
+        polys.append(Polygon(vertices=[(4.0, 0.0)] + upper
+                             + [(r, -z) for r, z in upper[::-1]]))
+    for poly in polys:
+        for first in range(len(poly.vertices)):
+            boundary_nodes(Polygon(vertices=poly.vertices[first:]
+                                   + poly.vertices[:first]))
+
+
+def test_polygon_unmatched_vertex_is_refused():
+    # the vertex set is symmetric within the tolerance, the vertex list is
+    # not: the extra vertex 1e-13 along the edge from corner 1 to corner 2
+    # of the hexagon has no mirror partner in the mirror order
+    hexagon = _regular_polygon(6).vertices
+    boundary_nodes(Polygon(vertices=hexagon))
+    (r1, z1), (r2, z2) = hexagon[1], hexagon[2]
+    extra = (r1 + 1e-13 * (r2 - r1), z1 + 1e-13 * (z2 - z1))
+    with pytest.raises(InvalidShapeError, match="not symmetric"):
+        boundary_nodes(Polygon(vertices=hexagon[:2] + (extra,) + hexagon[2:]))
+
+
 def test_polygon_orientation_and_turning():
     square = Polygon(vertices=((1.0, -0.5), (2.0, -0.5), (2.0, 0.5),
                                (1.0, 0.5)))

@@ -142,6 +142,14 @@ def test_axis_and_decay_invariants():
     assert_allclose(eq1 / eq2, 2.0, rtol=1e-2)
 
 
+def test_stream_at_non_finite_radius_rejected():
+    sol = solve_dirichlet(SHAPE, 0.0, 64)
+    for r in (np.nan, -1.0):
+        with pytest.raises(ValueError, match="finite positive radii"):
+            evaluate_stream(sol, points=(np.array([3.0, r]),
+                                         np.array([0.0, 0.5])))
+
+
 def test_polygon_rejected():
     square = Polygon(vertices=((1.0, -0.5), (2.0, -0.5), (2.0, 0.5),
                                (1.0, 0.5)))
