@@ -101,56 +101,7 @@ class PhysicalParams:
 
 
 # ---------------------------------------------------------------------------
-# core boundary integrals
-
-def _smooth_integrals(bnd: SmoothBoundary) -> dict:
-    w = bnd.weights
-    nr = bnd.normal_r
-    area = float(np.sum(bnd.r * nr * w))
-    first_moment = float(np.sum(0.5 * bnd.r**2 * nr * w))
-    inv_r2_terms = -(1.0 / bnd.r) * nr * w
-    curv = float(np.sum(bnd.curvature * w))
-    azim = float(np.sum(nr / bnd.r * w))
-    return {
-        "area": area,
-        "first_moment": first_moment,
-        "inv_r2": float(np.sum(inv_r2_terms)),
-        # the n/2-node rule on the even nodes, whose weights double: bit
-        # for bit a separate n/2-node sample
-        "inv_r2_half": 2.0 * float(np.sum(inv_r2_terms[::2])),
-        "total_mean_curvature": curv + azim,
-        "perimeter": float(np.sum(w)),
-    }
-
-
-def _polygon_integrals(bnd: PolygonBoundary) -> dict:
-    v = bnd.vertices
-    r1, z1 = v[:, 0], v[:, 1]
-    r2, z2 = np.roll(r1, -1), np.roll(z1, -1)
-    cross = r1 * z2 - r2 * z1
-    area = 0.5 * float(np.sum(cross))
-    # first moment int_E r dA by the exact shoelace moment formula
-    first_moment = float(np.sum(cross * (r1 + r2))) / 6.0
-    # int ds / r along each edge, r linear in arc length; on a near edge
-    # log(r2/r1)/(r2-r1) expanded around r1 = r2
-    L = bnd.edge_lengths
-    near = np.abs(r2 - r1) < 1e-9 * np.maximum(r1, r2)
-    rm = 0.5 * (r1 + r2)
-    d = (r2 - r1) / rm
-    with np.errstate(divide="ignore", invalid="ignore"):   # unused on near
-        inv_r = np.where(near, L / rm * (1.0 + d * d / 12.0),
-                         L * np.log(r2 / r1) / (r2 - r1))
-    # the azimuthal curvature sum of n_r ds / r is -inv_r2, bit for bit
-    inv_r2 = float(np.sum(-bnd.edge_normal_r * inv_r))
-    curv = float(np.sum(bnd.turning_angles))
-    return {
-        "area": area,
-        "first_moment": first_moment,
-        "inv_r2": inv_r2,
-        "total_mean_curvature": curv - inv_r2,
-        "perimeter": bnd.perimeter,
-    }
-
+# the report of each section kind
 
 def _normal_crossing(shape: CrossSection, b: float) -> float:
     """The one t in (0, pi) where n_r = b on a smooth kind: on a convex
@@ -196,46 +147,78 @@ def _normal_crossing(shape: CrossSection, b: float) -> float:
         f"n_r = {b} crossing did not converge in {_CROSSING_MAXITER} steps")
 
 
-def _extrema(bnd: SmoothBoundary | PolygonBoundary):
-    """(r_max, r_min, h) of a checked section: vertex extremes of a polygon;
-    on a smooth kind r_max and r_min are nodes 0 and n/2 (t = 0 and pi, on
-    z = 0), and h is z where n_r = 0 on the upper half (an ellipse's n, bit
-    for bit)."""
-    if isinstance(bnd, PolygonBoundary):
-        v = bnd.vertices
-        return (float(np.max(v[:, 0])), float(np.min(v[:, 0])),
-                float(np.max(np.abs(v[:, 1]))))
-    h = bnd.shape.point(_normal_crossing(bnd.shape, 0.0))[1]
-    return float(bnd.r[0]), float(bnd.r[bnd.n_nodes // 2]), float(h)
-
-
-def _report_from_integrals(ints: dict, bnd: SmoothBoundary | PolygonBoundary,
-                           resolution: int, quad_error: float):
-    area = ints["area"]
-    R = ints["first_moment"] / area
+def _report(bnd: SmoothBoundary | PolygonBoundary, resolution: int,
+            quad_error: float, *, area: float, first_moment: float,
+            inv_r2: float, total_mean_curvature: float, r_max: float,
+            r_min: float, height_h: float, perimeter: float) -> GeometryReport:
+    """The report of a checked section from its kind's eight functionals:
+    R, a, mu, delta and is_thick are derived here, and a non-finite field
+    raises InvalidShapeError naming it."""
+    R = first_moment / area
     a = np.sqrt(area / (2.0 * np.pi))
-    delta = ints["inv_r2"] - 2.0 * np.pi
-    r_max, r_min, h = _extrema(bnd)
+    delta = inv_r2 - 2.0 * np.pi
     rep = GeometryReport(
-        area=area,
-        R=R,
-        a=float(a),
-        mu=float(R / a),
-        delta=delta,
-        total_mean_curvature=ints["total_mean_curvature"],
-        r_max=r_max,
-        r_min=r_min,
-        height_h=h,
-        perimeter=ints["perimeter"],
-        is_thick=bool(delta >= -1e-12),
-        quad_error=quad_error,
-        resolution=resolution,
-        boundary=bnd,
-    )
+        area=area, R=R, a=float(a), mu=float(R / a), delta=delta,
+        total_mean_curvature=total_mean_curvature, r_max=r_max, r_min=r_min,
+        height_h=height_h, perimeter=perimeter, is_thick=bool(delta >= -1e-12),
+        quad_error=quad_error, resolution=resolution, boundary=bnd)
     for name, value in rep.to_dict().items():
         if not np.isfinite(value):
             raise InvalidShapeError(f"report field {name} is {value}: "
                                     "the shape's scale over- or underflows")
+    return rep
+
+
+def _polygon_report(bnd: PolygonBoundary) -> GeometryReport:
+    """Exact edge formulas; the extremes are those of the vertices."""
+    v = bnd.vertices
+    r1, z1 = v[:, 0], v[:, 1]
+    r2, z2 = np.roll(r1, -1), np.roll(z1, -1)
+    cross = r1 * z2 - r2 * z1
+    # int ds / r along each edge, r linear in arc length; on a near edge
+    # log(r2/r1)/(r2-r1) expanded around r1 = r2
+    L = bnd.edge_lengths
+    near = np.abs(r2 - r1) < 1e-9 * np.maximum(r1, r2)
+    rm = 0.5 * (r1 + r2)
+    d = (r2 - r1) / rm
+    with np.errstate(divide="ignore", invalid="ignore"):   # unused on near
+        inv_r = np.where(near, L / rm * (1.0 + d * d / 12.0),
+                         L * np.log(r2 / r1) / (r2 - r1))
+    inv_r2 = float(np.sum(-bnd.edge_normal_r * inv_r))
+    return _report(
+        bnd, len(v), 0.0,
+        area=0.5 * float(np.sum(cross)),
+        # int_E r dA by the exact shoelace moment formula
+        first_moment=float(np.sum(cross * (r1 + r2))) / 6.0,
+        inv_r2=inv_r2,
+        # the azimuthal curvature sum of n_r ds / r is -inv_r2, bit for bit
+        total_mean_curvature=float(np.sum(bnd.turning_angles)) - inv_r2,
+        r_max=float(np.max(r1)), r_min=float(np.min(r1)),
+        height_h=float(np.max(np.abs(z1))), perimeter=bnd.perimeter)
+
+
+def _smooth_report(bnd: SmoothBoundary, inv_r2: float,
+                   err: float) -> GeometryReport:
+    """Node sums on the sample the doubling loop kept, with its inv_r2 and
+    error estimate: r_max and r_min are nodes 0 and n/2 (t = 0 and pi, on
+    z = 0), and h is z where n_r = 0 on the upper half (an ellipse's n,
+    bit for bit)."""
+    r, nr, w = bnd.r, bnd.normal_r, bnd.weights
+    h = bnd.shape.point(_normal_crossing(bnd.shape, 0.0))[1]
+    rep = _report(
+        bnd, bnd.n_nodes, err,
+        area=float(np.sum(r * nr * w)),
+        first_moment=float(np.sum(0.5 * r**2 * nr * w)),
+        inv_r2=inv_r2,
+        total_mean_curvature=(float(np.sum(bnd.curvature * w))
+                              + float(np.sum(nr / r * w))),
+        r_max=float(r[0]), r_min=float(r[bnd.n_nodes // 2]),
+        height_h=float(h), perimeter=float(np.sum(w)))
+    speed3 = np.min(bnd.speed) ** 3
+    if not speed3 >= np.finfo(float).tiny:
+        raise InvalidShapeError(
+            f"smallest sampled speed**3 is {speed3:.3g}, not a normal float: "
+            "the shape's scale underflows")
     return rep
 
 
@@ -245,22 +228,24 @@ def geometry_report(shape: CrossSection) -> GeometryReport:
 
     Smooth kinds sample n = 2 * DEFAULT_RESOLUTION nodes, doubling (capped
     at 8192) until delta agrees to 1e-9 relative with the n/2-node rule on
-    the even nodes of the same sample; polygons are exact.  A non-finite
-    field (a scale that over- or underflows), or a smallest sampled
-    speed**3 below the smallest normal float, raises InvalidShapeError
-    naming it.
+    the even nodes of the same sample; each doubling sums only those two,
+    and the other functionals are taken once, on the sample kept.  Polygons
+    are exact.  A non-finite field (a scale that over- or underflows), or a
+    smallest sampled speed**3 below the smallest normal float, raises
+    InvalidShapeError naming it.
     """
     if isinstance(shape, Polygon):
-        bnd = boundary_nodes(shape)
-        return _report_from_integrals(_polygon_integrals(bnd), bnd,
-                                      len(shape.vertices), 0.0)
+        return _polygon_report(boundary_nodes(shape))
 
     n = 2 * DEFAULT_RESOLUTION
     while True:
         bnd = boundary_nodes(shape, n)
-        ints = _smooth_integrals(bnd)
-        err = (abs(ints["inv_r2"] - ints["inv_r2_half"])
-               / max(1.0, abs(ints["inv_r2"])))
+        terms = -(1.0 / bnd.r) * bnd.normal_r * bnd.weights
+        inv_r2 = float(np.sum(terms))
+        # the n/2-node rule on the even nodes, whose weights double: bit
+        # for bit a separate n/2-node sample
+        err = (abs(inv_r2 - 2.0 * float(np.sum(terms[::2])))
+               / max(1.0, abs(inv_r2)))
         if err <= _DELTA_RTOL:
             break
         if 2 * n > MAX_RESOLUTION:
@@ -271,13 +256,7 @@ def geometry_report(shape: CrossSection) -> GeometryReport:
                 )
             break
         n *= 2
-    rep = _report_from_integrals(ints, bnd, n, err)
-    speed3 = np.min(bnd.speed) ** 3
-    if not speed3 >= np.finfo(float).tiny:
-        raise InvalidShapeError(
-            f"smallest sampled speed**3 is {speed3:.3g}, not a normal float: "
-            "the shape's scale underflows")
-    return rep
+    return _smooth_report(bnd, inv_r2, err)
 
 
 # ---------------------------------------------------------------------------

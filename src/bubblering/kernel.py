@@ -45,12 +45,14 @@ def _pointwise(source, target):
     """(r, z, k, d1^2, F, F') of a filament at `source` seen from `target`,
     F and F' from one AGM (see the module docstring; q seeds it, so k near
     1 keeps its digits).  Raises ValueError for a radius that is not finite
-    and positive, or coincident points."""
+    and positive, a z that is not finite, or coincident points."""
     rb, zb = source
     r = np.asarray(target[0], dtype=float)
     z = np.asarray(target[1], dtype=float)
     if not all(np.all((0 < x) & (x < np.inf)) for x in (np.asarray(rb), r)):
         raise ValueError("ring kernel needs finite positive radii")
+    if not (np.all(np.isfinite(zb)) and np.all(np.isfinite(z))):
+        raise ValueError("ring kernel needs finite z")
     k, q, d1sq, rho2 = _modulus(r, z, rb, zb)
     if np.any(rho2 == 0.0):
         raise ValueError("ring kernel is singular at coincident points")

@@ -28,8 +28,7 @@ import numpy as np
 
 from .geometry import normalize
 from .shapes import CrossSection, Disk, Ellipse, FourierStar, InvalidShapeError
-from .solver import (ResidualReport, SolverError, dynamic_residual,
-                     optimal_W_lam)
+from .solver import ResidualReport, SolverError, optimal_W_lam
 
 __all__ = [
     "ShapeFamily",
@@ -214,11 +213,10 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
         first[key] = entry
         try:
             shape = family.make_shape(entry["params"])
-            sol, W, lam = optimal_W_lam(shape, we, resolution)
+            sol, rep = optimal_W_lam(shape, we, resolution)
         except (InvalidShapeError, SolverError):
             return np.inf
-        rep = dynamic_residual(shape, sol, we, lam)
-        entry.update(W=W, lam=lam, dyn_residual_l2=rep.dyn_residual_l2,
+        entry.update(W=sol.W, lam=rep.lam, dyn_residual_l2=rep.dyn_residual_l2,
                      dyn_residual_max=rep.dyn_residual_max,
                      identity_gap=rep.identity_gap, penalized=False,
                      shape=shape, report=rep)

@@ -238,10 +238,10 @@ class PolygonBoundary:
 
 
 def _smooth_boundary(shape, n: int) -> SmoothBoundary:
-    """Nodes 0..n/2 are evaluated and nodes n/2+1..n-1 copied from their
-    mirrors n - j with z and the normal's z component negated, so the
+    """Nodes 0..n/2 (n even) are evaluated and nodes n/2+1..n-1 copied from
+    their mirrors n - j with z and the normal's z component negated, so the
     sampled curve is exactly z -> -z symmetric; the mirror's fixed nodes
-    t = 0 and t = pi (n even) lie on z = 0."""
+    t = 0 and t = pi lie on z = 0."""
     t = 2.0 * np.pi * np.arange(n) / n
     half = n // 2
     r, z = shape.point(t[:half + 1])
@@ -252,10 +252,9 @@ def _smooth_boundary(shape, n: int) -> SmoothBoundary:
     nr = dz / speed
     nz = -dr / speed
     kappa = (dr * ddz - dz * ddr) / speed**3
-    fixed = [0, half] if n % 2 == 0 else [0]
-    z[fixed] = 0.0
-    nz[fixed] = 0.0
-    mirror = slice(n - half - 1, 0, -1)   # node n - j of node j > n/2
+    z[[0, half]] = 0.0
+    nz[[0, half]] = 0.0
+    mirror = slice(half - 1, 0, -1)   # node n - j of node j > n/2
     r, speed, nr, kappa = (np.concatenate([a, a[mirror]])
                            for a in (r, speed, nr, kappa))
     z, nz = (np.concatenate([a, -a[mirror]]) for a in (z, nz))
@@ -329,20 +328,21 @@ def boundary_nodes(shape: CrossSection,
     turning angles (polygons).  Smooth kinds take `resolution` nodes;
     polygons ignore it.
 
-    Raises ValueError for fewer than 8 or more than MAX_RESOLUTION nodes
-    (before any work that scales with n), and InvalidShapeError for
-    polygons with more than MAX_RESOLUTION vertices (likewise), non-convex
-    curves, curves touching the axis, or polygons not symmetric under
-    z -> -z (the smooth kinds are symmetric by construction).
+    Raises ValueError for fewer than 8, more than MAX_RESOLUTION or an odd
+    number of nodes (before any work that scales with n), and
+    InvalidShapeError for polygons with more than MAX_RESOLUTION vertices
+    (likewise), non-convex curves, curves touching the axis, or polygons
+    not symmetric under z -> -z (the smooth kinds are symmetric by
+    construction).
     """
     if isinstance(shape, Polygon):
         shape.validate()
         return _polygon_boundary(shape)
     shape.validate()
     n = int(resolution)
-    if not 8 <= n <= MAX_RESOLUTION:
-        raise ValueError(
-            f"resolution must lie in [8, {MAX_RESOLUTION}], got {n}")
+    if not 8 <= n <= MAX_RESOLUTION or n % 2:
+        raise ValueError(f"resolution must lie in [8, {MAX_RESOLUTION}] "
+                         f"and be even, got {n}")
     bnd = _smooth_boundary(shape, n)
     _check_smooth(shape, bnd)
     return bnd

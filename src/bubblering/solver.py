@@ -395,14 +395,10 @@ def solve_dirichlet(shape: CrossSection, W: float,
     return _solution_at(*_solve_affine(shape, resolution), W)
 
 
-def evaluate_stream(sol_or_density, bnd: SmoothBoundary | None = None,
-                    points=None):
-    """psi at off-boundary points from a nodal density (plain trapezoid)."""
-    if isinstance(sol_or_density, BoundarySolution):
-        phi = sol_or_density.density
-        bnd = sol_or_density.boundary
-    else:
-        phi = np.asarray(sol_or_density, dtype=float)
+def evaluate_stream(density, bnd: SmoothBoundary, points):
+    """psi at off-boundary points (r, z) from a nodal density on `bnd`
+    (plain trapezoid); raises ValueError as `ring_kernel` does."""
+    phi = np.asarray(density, dtype=float)
     pr, pz = points
     pr = np.atleast_1d(np.asarray(pr, dtype=float))
     pz = np.atleast_1d(np.asarray(pz, dtype=float))
@@ -450,8 +446,10 @@ def dynamic_residual(shape: CrossSection, sol: BoundarySolution,
 
 def optimal_W_lam(shape: CrossSection, we: float,
                   resolution: int = DEFAULT_RESOLUTION):
-    """(solution, W, lam): the W and lam >= 0 minimizing dyn_residual_l2 of
-    one shape, exactly, from one factorization (variable projection).
+    """(solution, report): the W (`solution.W`) and lam >= 0 (`report.lam`)
+    minimizing dyn_residual_l2 of one shape, exactly, from one
+    factorization (variable projection); `report` is `dynamic_residual` at
+    that optimum.
 
     The surface flow a + W b is affine in W, so g = 2H - We flow^2 is
     quadratic in W.  For fixed W the best lam is max(0, -<g>_w), <.>_w the
@@ -485,5 +483,5 @@ def optimal_W_lam(shape: CrossSection, we: float,
     G = g[0] + np.outer(cands, g[1]) + np.outer(cands**2, g[2])
     lam = np.maximum(0.0, -(G @ w) / np.sum(w))
     best = int(np.argmin((G + lam[:, None]) ** 2 @ w))
-    W = float(cands[best])
-    return _solution_at(bnd, cond, cols, W), W, float(lam[best])
+    sol = _solution_at(bnd, cond, cols, float(cands[best]))
+    return sol, dynamic_residual(shape, sol, we, float(lam[best]))

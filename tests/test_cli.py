@@ -131,14 +131,16 @@ def test_missing_we_is_validation_error(tmp_path):
 @pytest.mark.parametrize("command", ["solve", "search"])
 def test_resolution_above_maximum_is_validation_error(tmp_path, capsys,
                                                        command):
-    # rejected before any assembly: exit 2 and no output file
+    # rejected before any assembly, as is an odd node count: exit 2 and no
+    # output file
     shape = (_write_shape(tmp_path, THICK_DISK) if command == "solve"
              else "family:thick-disk")
     out = tmp_path / "a.json"
-    assert main([command, "--shape", shape, "--we", "1", "--resolution",
-                 "8194", "--out", str(out)]) == 2
-    assert "resolution must lie in" in capsys.readouterr().err
-    assert not out.exists()
+    for resolution in ("8194", "129" if command == "solve" else "65"):
+        assert main([command, "--shape", shape, "--we", "1", "--resolution",
+                     resolution, "--out", str(out)]) == 2
+        assert "resolution must lie in [8, 8192]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_malformed_shape_is_validation_error(tmp_path, capsys):
@@ -219,6 +221,55 @@ def test_unconverged_or_clockwise_section_is_validation_error(
     shape = _write_shape(tmp_path, payload)
     out = tmp_path / "a.json"
     assert main([*argv, "--shape", shape, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+REFUSED = {
+    "two-vertices": ('{"kind": "polygon", "params": {"vertices": '
+                     '[[1, 0], [2, 0]]}}',
+                     "polygon needs at least 3 vertices"),
+    "repeated-vertex": ('{"kind": "polygon", "params": {"vertices": '
+                        '[[1, -0.5], [2, -0.5], [2, -0.5], [2, 0.5], '
+                        '[1, 0.5]]}}', "polygon has a repeated vertex"),
+    "non-convex-polygon": ('{"kind": "polygon", "params": {"vertices": '
+                           '[[1, -1], [3, -1], [2, 0], [3, 1], [1, 1]]}}',
+                           "polygon is not convex: negative turning angle"),
+    "star-base": ('{"kind": "fourier-star", "params": {"R0": 3, "base": 0, '
+                  '"coeffs": []}}',
+                  "fourier-star base radius must be positive"),
+    "star-vanishing": ('{"kind": "fourier-star", "params": {"R0": 3, '
+                       '"base": 1, "coeffs": [0.5, -0.5]}}',
+                       "fourier-star radius may vanish"),
+    # FourierStar.validate does not compare R0 with the radius: the
+    # sampled section's own check refuses it
+    "star-crossing-axis": ('{"kind": "fourier-star", "params": {"R0": 0.5, '
+                           '"base": 1, "coeffs": []}}',
+                           "curve touches the axis"),
+    "unknown-kind": ('{"kind": "triangle", "params": {}}',
+                     "unknown shape kind 'triangle'"),
+    "not-json": ("not json", "shape file is not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+@pytest.mark.parametrize("argv", [["analyze"], ["bound", "--we", "0.1"],
+                                  ["solve", "--we", "1",
+                                   "--resolution", "64"]])
+def test_refused_shape_file_is_validation_error(tmp_path, capsys, case,
+                                                argv):
+    text, message = REFUSED[case]
+    shape = tmp_path / "shape.json"
+    shape.write_text(text)
+    out = tmp_path / "a.json"
+    assert main([*argv, "--shape", str(shape), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_without_shape_is_validation_error(tmp_path, capsys):
+    out = tmp_path / "a.json"
+    assert main(["analyze", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: this command needs --shape\n"
     assert not out.exists()
 
 

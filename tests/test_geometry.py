@@ -10,7 +10,6 @@ from bubblering.geometry import (
     PhysicalParams,
     QuadratureError,
     _normal_crossing,
-    _polygon_integrals,
     disk_delta,
     ellipse_inv_r2_integral,
     geometry_report,
@@ -129,9 +128,10 @@ def test_polygon_integrals_match_per_edge_formula():
         r1 = bnd.vertices[:, 0]
         inv_r = np.array([_edge_inv_r(a, b, L) for a, b, L in
                           zip(r1, np.roll(r1, -1), bnd.edge_lengths)])
-        ints = _polygon_integrals(bnd)
-        assert ints["inv_r2"] == float(np.sum(-bnd.edge_normal_r * inv_r))
-        assert ints["total_mean_curvature"] == (
+        rep = geometry_report(poly)
+        assert rep.delta == (float(np.sum(-bnd.edge_normal_r * inv_r))
+                             - 2.0 * np.pi)
+        assert rep.total_mean_curvature == (
             float(np.sum(bnd.turning_angles))
             + float(np.sum(bnd.edge_normal_r * inv_r)))
 
@@ -263,6 +263,13 @@ def test_normal_crossing_matches_brentq_on_fourier_stars():
 
             oracle = brentq(nr_minus_b, 0.0, np.pi, xtol=1e-14)
             assert abs(_normal_crossing(shape, b) - oracle) <= 1e-14
+
+
+@pytest.mark.parametrize("b", [-0.1, 1.0, 1.5, np.nan])
+def test_surface_set_threshold_outside_unit_interval_rejected(b):
+    bnd = boundary_nodes(Disk(R0=3.0, rho0=1.0))
+    with pytest.raises(ValueError, match=r"threshold b must lie in \[0, 1\)"):
+        surface_set_length(bnd, b)
 
 
 def test_surface_set_length_is_the_60_point_gauss_rule():

@@ -45,6 +45,18 @@ def test_non_finite_radius_rejected(bad):
             f((bad, 0.0), (np.array([1.0, 2.0]), np.array([0.3, 0.1])))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_z_rejected(bad):
+    # a NaN z used to give NaN, and an infinite one NaN with a warning
+    for f in (ring_kernel, ring_kernel_gradient):
+        with pytest.raises(ValueError, match="finite z"):
+            f((1.0, bad), (2.0, 0.3))
+        with pytest.raises(ValueError, match="finite z"):
+            f((1.0, 0.0), (2.0, bad))
+        with pytest.raises(ValueError, match="finite z"):
+            f((1.0, 0.0), (np.array([1.0, 2.0]), np.array([0.3, bad])))
+
+
 def _mp_kernel(rb, zb, r, z):
     d1sq = (r + rb) ** 2 + (z - zb) ** 2
     m = 4 * r * rb / d1sq

@@ -39,7 +39,8 @@ def test_disk_curvature_constant():
     assert_allclose(bnd.perimeter, 2.0 * np.pi * 0.7, rtol=1e-12)
 
 
-@pytest.mark.parametrize("n", [7, MAX_RESOLUTION + 2])
+@pytest.mark.parametrize("n", [7, MAX_RESOLUTION + 2, 9, 129,
+                               MAX_RESOLUTION - 1])
 def test_node_count_out_of_range_is_bad_argument(n):
     # a bad n is a plain ValueError, not a rejected shape, raised before
     # any work that scales with n

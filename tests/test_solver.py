@@ -129,16 +129,20 @@ def test_symmetry_at_zero_speed():
 def test_axis_and_decay_invariants():
     sol = solve_dirichlet(SHAPE, 0.2, 128)
     zs = np.linspace(-10.0, 10.0, 9)
-    psi_axis = evaluate_stream(sol, points=(np.full_like(zs, 1e-8), zs))
+    psi_axis = evaluate_stream(sol.density, sol.boundary,
+                               (np.full_like(zs, 1e-8), zs))
     assert np.max(np.abs(psi_axis)) < 1e-6
     scale = np.max(np.abs(sol.psi_trace))
     # the far field is a dipole: ~1/d^3 along the axis, ~1/d in the
     # equatorial plane; the 1e-4 decay threshold is checked off-plane and
     # the slow equatorial direction is checked against its 1/d rate
-    far = evaluate_stream(sol, points=(np.array([2.0]), np.array([1e3])))
+    far = evaluate_stream(sol.density, sol.boundary,
+                          (np.array([2.0]), np.array([1e3])))
     assert abs(far) < 1e-4 * scale
-    eq1 = evaluate_stream(sol, points=(np.array([1e3]), np.array([0.0])))
-    eq2 = evaluate_stream(sol, points=(np.array([2e3]), np.array([0.0])))
+    eq1 = evaluate_stream(sol.density, sol.boundary,
+                          (np.array([1e3]), np.array([0.0])))
+    eq2 = evaluate_stream(sol.density, sol.boundary,
+                          (np.array([2e3]), np.array([0.0])))
     assert_allclose(eq1 / eq2, 2.0, rtol=1e-2)
 
 
@@ -146,8 +150,17 @@ def test_stream_at_non_finite_radius_rejected():
     sol = solve_dirichlet(SHAPE, 0.0, 64)
     for r in (np.nan, -1.0):
         with pytest.raises(ValueError, match="finite positive radii"):
-            evaluate_stream(sol, points=(np.array([3.0, r]),
-                                         np.array([0.0, 0.5])))
+            evaluate_stream(sol.density, sol.boundary,
+                            (np.array([3.0, r]), np.array([0.0, 0.5])))
+
+
+@pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf])
+def test_stream_at_non_finite_z_rejected(z):
+    # used to return NaN at the point
+    sol = solve_dirichlet(SHAPE, 0.0, 64)
+    with pytest.raises(ValueError, match="finite z"):
+        evaluate_stream(sol.density, sol.boundary,
+                        (np.array([3.0, 4.0]), np.array([0.0, z])))
 
 
 def test_polygon_rejected():
@@ -386,7 +399,8 @@ def test_optimal_W_lam_matches_brute_force(shape, lam_positive):
     from scipy.optimize import minimize
 
     we, n = 1.0, 64
-    sol, W, lam = solver.optimal_W_lam(shape, we, n)
+    sol, rep = solver.optimal_W_lam(shape, we, n)
+    W, lam = sol.W, rep.lam
     assert sol.W == W and abs(sol.circulation - 1.0) <= 1e-10
     assert (lam > 0.0) == lam_positive
     exact = dynamic_residual(shape, sol, we, lam).dyn_residual_l2
