@@ -166,8 +166,9 @@ def norbury_scaling_probe(R0: float, eps_values) -> list[dict]:
     """Certificate along the near-axis disk family rho0 = R0 - eps.
 
     Each disk is rescaled to area 2 pi before certification.  Returns one
-    row per eps with the relative offset, delta (closed form and measured),
-    and the universal we_min; delta ~ pi sqrt(2) / sqrt(eps/R0) blows up as
+    row per eps with the relative offset, the closed-form delta and
+    delta sqrt(eps/R0), mu, the universal we_min and the rescaled disk
+    (`shape`); delta ~ pi sqrt(2) / sqrt(eps/R0) blows up as
     the ring closes onto the axis, and the bound diverges with it.
     """
     rows = []

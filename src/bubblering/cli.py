@@ -30,11 +30,11 @@ import numpy as np
 from . import __version__
 from .shapes import (DEFAULT_RESOLUTION, Ellipse, InvalidShapeError,
                      boundary_nodes, load_shape, random_convex_polygon,
-                     random_smooth_shape, shape_to_dict)
+                     random_smooth_shape)
 from .geometry import (QuadratureError, geometry_report, outer_radius_ratio,
                        normalize, surface_set_length, ellipse_inv_r2_integral)
 from .solver import SolverError, dynamic_residual, solve_dirichlet
-from .search import SEARCH_RESOLUTION, residual_minimize, family_from_name
+from .search import SEARCH_RESOLUTION, residual_minimize
 from .certify import (_universal_terms, explicit_bound, norbury_scaling_probe,
                       verdict)
 
@@ -124,23 +124,15 @@ def cmd_solve(args) -> int:
 def cmd_search(args) -> int:
     if args.we is None:
         raise InvalidShapeError("search needs --we")
-    name = args.shape or "thick-disk"
-    if name.startswith("family:"):
-        name = name[len("family:"):]
-    family = family_from_name(name)
-    res = residual_minimize(family, we=args.we, budget=args.budget,
-                            seed=args.seed, resolution=args.resolution)
-    out = res.to_dict()
-    if res.best_shape is not None:
-        out["best_shape"] = shape_to_dict(res.best_shape)
-    _emit(args, _payload(args, out, args.resolution))
-    log_path = (args.out + ".log.csv") if args.out else None
-    if log_path:
-        with open(log_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(res.LOG_FIELDS))
+    res = residual_minimize(args.shape or "thick-disk", we=args.we,
+                            budget=args.budget, seed=args.seed,
+                            resolution=args.resolution)
+    _emit(args, _payload(args, res.to_dict(), args.resolution))
+    if args.out:
+        with open(args.out + ".log.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=res.LOG_FIELDS)
             writer.writeheader()
-            for row in res.log_rows():
-                writer.writerow(row)
+            writer.writerows(res.log_rows())
     return EXIT_OK
 
 
@@ -231,17 +223,18 @@ def cmd_verify_lemmas(args) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_VALIDATION
 
 
+_NORBURY_COLUMNS = ("eps_over_R0", "delta", "delta_scaled", "mu", "we_min")
+
+
 def cmd_norbury_table(args) -> int:
     eps = [10.0 ** (-p / 2.0) for p in range(2, 9)]
     rows = norbury_scaling_probe(1.0, eps)
     buf = io.StringIO()
     buf.write(f"# version={__version__} units={_UNITS}\n")
     writer = csv.writer(buf)
-    writer.writerow(["eps_over_R0", "delta", "delta_scaled", "mu", "we_min"])
+    writer.writerow(_NORBURY_COLUMNS)
     for row in rows:
-        writer.writerow([f"{row[k]:.12g}" for k in
-                         ("eps_over_R0", "delta", "delta_scaled", "mu",
-                          "we_min")])
+        writer.writerow([f"{row[k]:.12g}" for k in _NORBURY_COLUMNS])
     _write(args, buf.getvalue())
     return EXIT_OK
 
@@ -261,7 +254,7 @@ def positive_int(text: str) -> int:
 # every flag a subcommand may read; each subcommand names its own in
 # build_parser, and --out is common to all
 _FLAGS = {
-    "--shape": dict(help="shape JSON file (search: family:<name>)"),
+    "--shape": dict(help="shape JSON file (search: [family:]<name>)"),
     "--we": dict(type=finite_float, help="Weber number"),
     "--seed": dict(type=int, default=0),
     "--budget": dict(type=int, default=200),

@@ -22,12 +22,13 @@ solve, but still counts toward the budget and gets its own log row.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .geometry import normalize
-from .shapes import CrossSection, Disk, Ellipse, FourierStar, InvalidShapeError
+from .shapes import (CrossSection, Disk, Ellipse, FourierStar,
+                     InvalidShapeError, node_count, shape_to_dict)
 from .solver import ResidualReport, SolverError, optimal_W_lam
 
 __all__ = [
@@ -109,6 +110,8 @@ _FAMILIES = {f.name: f for f in (ThickDiskFamily, EllipseFamily, FourierFamily)}
 
 
 def family_from_name(name: str) -> ShapeFamily:
+    """The family named `name`, with or without a `family:` prefix."""
+    name = name.removeprefix("family:")
     try:
         return _FAMILIES[name]()
     except KeyError:
@@ -137,35 +140,42 @@ class SearchResult:
                   "dyn_residual_max", "identity_gap", "penalized")
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "we": self.we,
-            "seed": self.seed,
-            "budget": self.budget,
-            "resolution": self.resolution,
-            "best_params": list(self.best_params),
-            "best_W": self.best_W,
-            "best_lam": self.best_lam,
-            "best_residual": self.best_residual,
-            "n_evaluations": self.n_evaluations,
-            "n_solves": self.n_solves,
-            "best_report": None if self.best_report is None
-            else self.best_report.to_dict(),
-        }
+        """Every field but the log; `best_shape` as a shape file, and only
+        when there is one."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("best_shape", "log")}
+        out["best_params"] = list(self.best_params)
+        if self.best_report is not None:
+            out["best_report"] = self.best_report.to_dict()
+        if self.best_shape is not None:
+            out["best_shape"] = shape_to_dict(self.best_shape)
+        return out
 
     def log_rows(self):
         """Rows for the CSV evaluation log."""
         for row in self.log:
-            yield {
-                "eval": row["eval"],
-                "params": " ".join(f"{p:.12g}" for p in row["params"]),
-                "W": row["W"],
-                "lam": row["lam"],
-                "dyn_residual_l2": row["dyn_residual_l2"],
-                "dyn_residual_max": row["dyn_residual_max"],
-                "identity_gap": row["identity_gap"],
-                "penalized": int(row["penalized"]),
-            }
+            yield dict({k: row[k] for k in self.LOG_FIELDS},
+                       params=" ".join(f"{p:.12g}" for p in row["params"]),
+                       penalized=int(row["penalized"]))
+
+
+def _row(family: ShapeFamily, params: tuple, we: float, resolution) -> dict:
+    """The log row of one distinct parameter vector, without its eval
+    number: solved, or penalized when the family or the solver refuses
+    it."""
+    try:
+        shape = family.make_shape(params)
+        sol, rep = optimal_W_lam(shape, we, resolution)
+    except (InvalidShapeError, SolverError):
+        return {"params": params, "W": np.nan, "lam": np.nan,
+                "dyn_residual_l2": np.nan, "dyn_residual_max": np.nan,
+                "identity_gap": np.nan, "penalized": True, "shape": None,
+                "report": None}
+    return {"params": params, "W": sol.W, "lam": rep.lam,
+            "dyn_residual_l2": rep.dyn_residual_l2,
+            "dyn_residual_max": rep.dyn_residual_max,
+            "identity_gap": rep.identity_gap, "penalized": False,
+            "shape": shape, "report": rep}
 
 
 def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
@@ -175,12 +185,13 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
 
     (W, lambda) are exact per shape (`optimal_W_lam`, one solve); a bounded
     Nelder-Mead from a `seed`-ed simplex searches the shape parameters, and
-    is deterministic for fixed seed and budget.  budget, an integer >= 1,
-    counts evaluations; budget = 1 returns the initial candidate's
-    residual.  Each distinct parameter vector (exact bytes, so 0.0 and -0.0
-    differ) costs one solve or one rejected shape; an evaluation that
-    repeats a vector logs a copy of its first row, with its own eval
-    number, and solves nothing.  n_solves counts the distinct vectors.
+    is deterministic for fixed seed and budget.  `family` may be a name.
+    budget, an integer >= 1, counts evaluations; budget = 1 returns the
+    initial candidate's residual.  Family, We, budget and node count are
+    checked before scipy.optimize is imported.  Each distinct parameter
+    vector (exact bytes, so 0.0 and -0.0 differ) is evaluated once, to one
+    row (`_row`); every evaluation logs a copy of its vector's row with its
+    own eval number.  n_solves counts the distinct vectors.
     """
     if isinstance(family, str):
         family = family_from_name(family)
@@ -192,35 +203,22 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
         raise ValueError(f"budget must be an integer, got {budget!r}") from None
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    resolution = node_count(resolution)
 
     x0 = np.array(family.initial, dtype=float)
     log: list[dict] = []
-    first: dict[bytes, dict] = {}   # exact bytes of x -> its first entry
+    first: dict[bytes, dict] = {}   # exact bytes of x -> its row
 
-    def score(entry):
-        return np.inf if entry["penalized"] else entry["dyn_residual_l2"]
+    def score(row):
+        return np.inf if row["penalized"] else row["dyn_residual_l2"]
 
     def objective(x):
         key = np.asarray(x, dtype=float).tobytes()
-        if key in first:
-            log.append(dict(first[key], eval=len(log) + 1))
-            return score(log[-1])
-        entry = {"eval": len(log) + 1, "params": tuple(float(p) for p in x),
-                 "W": np.nan, "lam": np.nan, "dyn_residual_l2": np.nan,
-                 "dyn_residual_max": np.nan, "identity_gap": np.nan,
-                 "penalized": True, "shape": None, "report": None}
-        log.append(entry)
-        first[key] = entry
-        try:
-            shape = family.make_shape(entry["params"])
-            sol, rep = optimal_W_lam(shape, we, resolution)
-        except (InvalidShapeError, SolverError):
-            return np.inf
-        entry.update(W=sol.W, lam=rep.lam, dyn_residual_l2=rep.dyn_residual_l2,
-                     dyn_residual_max=rep.dyn_residual_max,
-                     identity_gap=rep.identity_gap, penalized=False,
-                     shape=shape, report=rep)
-        return rep.dyn_residual_l2
+        if key not in first:
+            first[key] = _row(family, tuple(float(p) for p in x), we,
+                              resolution)
+        log.append(dict(first[key], eval=len(log) + 1))
+        return score(log[-1])
 
     rng = np.random.default_rng(seed)
     # reproducible nondegenerate initial simplex around x0; Nelder-Mead
@@ -238,7 +236,7 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
         we=float(we),
         seed=int(seed),
         budget=budget,
-        resolution=int(resolution),
+        resolution=resolution,
         best_params=best["params"],
         best_W=best["W"],
         best_lam=best["lam"],

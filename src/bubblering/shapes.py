@@ -25,6 +25,7 @@ __all__ = [
     "SmoothBoundary",
     "PolygonBoundary",
     "boundary_nodes",
+    "node_count",
     "shape_from_dict",
     "shape_to_dict",
     "load_shape",
@@ -321,6 +322,16 @@ def _polygon_boundary(shape: Polygon) -> PolygonBoundary:
     )
 
 
+def node_count(resolution) -> int:
+    """`resolution` as an int, if it is an even node count in
+    [8, MAX_RESOLUTION]; else ValueError."""
+    n = int(resolution)
+    if not 8 <= n <= MAX_RESOLUTION or n % 2:
+        raise ValueError(f"resolution must lie in [8, {MAX_RESOLUTION}] "
+                         f"and be even, got {n}")
+    return n
+
+
 def boundary_nodes(shape: CrossSection,
                    resolution: int = DEFAULT_RESOLUTION):
     """Sample the boundary: positions, unit outward normals, arc-length
@@ -328,46 +339,23 @@ def boundary_nodes(shape: CrossSection,
     turning angles (polygons).  Smooth kinds take `resolution` nodes;
     polygons ignore it.
 
-    Raises ValueError for fewer than 8, more than MAX_RESOLUTION or an odd
-    number of nodes (before any work that scales with n), and
-    InvalidShapeError for polygons with more than MAX_RESOLUTION vertices
-    (likewise), non-convex curves, curves touching the axis, or polygons
-    not symmetric under z -> -z (the smooth kinds are symmetric by
-    construction).
+    Raises ValueError for a node count that `node_count` refuses (before
+    any work that scales with n), and InvalidShapeError for polygons with
+    more than MAX_RESOLUTION vertices (likewise), non-convex curves, curves
+    touching the axis, or polygons not symmetric under z -> -z (the smooth
+    kinds are symmetric by construction).
     """
     if isinstance(shape, Polygon):
         shape.validate()
         return _polygon_boundary(shape)
     shape.validate()
-    n = int(resolution)
-    if not 8 <= n <= MAX_RESOLUTION or n % 2:
-        raise ValueError(f"resolution must lie in [8, {MAX_RESOLUTION}] "
-                         f"and be even, got {n}")
-    bnd = _smooth_boundary(shape, n)
+    bnd = _smooth_boundary(shape, node_count(resolution))
     _check_smooth(shape, bnd)
     return bnd
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def shape_to_dict(shape: CrossSection) -> dict:
-    if isinstance(shape, Disk):
-        params = {"R0": shape.R0, "rho0": shape.rho0}
-        kind = "disk"
-    elif isinstance(shape, Ellipse):
-        params = {"R0": shape.R0, "m": shape.m, "n": shape.n}
-        kind = "ellipse"
-    elif isinstance(shape, FourierStar):
-        params = {"R0": shape.R0, "base": shape.base, "coeffs": list(shape.coeffs)}
-        kind = "fourier-star"
-    elif isinstance(shape, Polygon):
-        params = {"vertices": [list(v) for v in shape.vertices]}
-        kind = "polygon"
-    else:
-        raise TypeError(f"unknown shape type {type(shape)!r}")
-    return {"kind": kind, "params": params}
-
 
 def _number(value, name: str) -> float:
     """A JSON number as a float, else InvalidShapeError."""
@@ -388,6 +376,36 @@ def _numbers(values, name: str) -> tuple:
     return tuple(_number(v, name) for v in values)
 
 
+def _vertices(values, name: str) -> tuple:
+    if not isinstance(values, (list, tuple)) or any(
+            not isinstance(v, (list, tuple)) or len(v) != 2 for v in values):
+        raise InvalidShapeError(
+            "polygon vertices must be a list of (r, z) pairs")
+    return tuple(_numbers(v, name) for v in values)
+
+
+# shape-file kind -> (class, reader of each parameter, in the order they
+# are read); a parameter the class defaults (coeffs) may be left out
+_KINDS = {
+    "disk": (Disk, {"R0": _number, "rho0": _number}),
+    "ellipse": (Ellipse, {"R0": _number, "m": _number, "n": _number}),
+    "fourier-star": (FourierStar, {"R0": _number, "base": _number,
+                                   "coeffs": _numbers}),
+    "polygon": (Polygon, {"vertices": _vertices}),
+}
+_OPTIONAL = {"coeffs"}
+
+
+def shape_to_dict(shape: CrossSection) -> dict:
+    # the exact type: a Disk is also an Ellipse; tolist makes the tuples
+    # (coeffs, vertices) JSON lists and leaves a number as it is
+    for kind, (cls, readers) in _KINDS.items():
+        if type(shape) is cls:
+            return {"kind": kind, "params": {
+                k: np.asarray(getattr(shape, k)).tolist() for k in readers}}
+    raise TypeError(f"unknown shape type {type(shape)!r}")
+
+
 def shape_from_dict(d: dict) -> CrossSection:
     if not isinstance(d, dict):
         raise InvalidShapeError("shape file must hold a JSON object")
@@ -398,33 +416,17 @@ def shape_from_dict(d: dict) -> CrossSection:
         raise InvalidShapeError(f"shape file misses field {exc}") from exc
     if not isinstance(params, dict):
         raise InvalidShapeError("shape field 'params' must be a JSON object")
-
-    def num(key):
-        return _number(params[key], key)
-
+    # a list kind cannot be a dict key
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise InvalidShapeError(f"unknown shape kind {kind!r}")
+    cls, readers = _KINDS[kind]
     try:
-        if kind == "disk":
-            return Disk(R0=num("R0"), rho0=num("rho0"))
-        if kind == "ellipse":
-            return Ellipse(R0=num("R0"), m=num("m"), n=num("n"))
-        if kind == "fourier-star":
-            return FourierStar(R0=num("R0"), base=num("base"),
-                               coeffs=_numbers(params.get("coeffs", ()),
-                                               "coeffs"))
-        if kind == "polygon":
-            vertices = params["vertices"]
-            if not isinstance(vertices, (list, tuple)) or any(
-                    not isinstance(v, (list, tuple)) or len(v) != 2
-                    for v in vertices):
-                raise InvalidShapeError(
-                    "polygon vertices must be a list of (r, z) pairs")
-            return Polygon(vertices=tuple(_numbers(v, "vertices")
-                                          for v in vertices))
+        return cls(**{name: read(params[name], name)
+                      for name, read in readers.items()
+                      if name in params or name not in _OPTIONAL})
     except KeyError as exc:
         raise InvalidShapeError(
-            f"shape kind {kind!r} misses parameter {exc}"
-        ) from exc
-    raise InvalidShapeError(f"unknown shape kind {kind!r}")
+            f"shape kind {kind!r} misses parameter {exc}") from exc
 
 
 def load_shape(path) -> CrossSection:

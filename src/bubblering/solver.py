@@ -36,7 +36,7 @@ and the solve is refused above MAX_CONDITION.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -72,7 +72,7 @@ class BoundarySolution:
     """Single-layer density and boundary traces of one solve on the checked
     section `boundary`."""
 
-    boundary: SmoothBoundary
+    boundary: SmoothBoundary = field(repr=False, compare=False)
     density: np.ndarray
     psi_trace: np.ndarray
     dn_psi: np.ndarray       # exterior normal derivative of psi at the nodes
@@ -83,16 +83,9 @@ class BoundarySolution:
     resolution: int
 
     def to_dict(self) -> dict:
-        return {
-            "W": self.W,
-            "gamma": self.gamma,
-            "circulation": self.circulation,
-            "condition_number": self.condition_number,
-            "resolution": self.resolution,
-            "density": self.density.tolist(),
-            "psi_trace": self.psi_trace.tolist(),
-            "dn_psi": self.dn_psi.tolist(),
-        }
+        """Every field but the boundary; arrays as lists."""
+        return {f.name: np.asarray(getattr(self, f.name)).tolist()
+                for f in fields(self) if f.compare}
 
 
 @dataclass
@@ -407,6 +400,14 @@ def evaluate_stream(density, bnd: SmoothBoundary, points):
     return out if out.size > 1 else float(out[0])
 
 
+def _check_defect(norms, we: float) -> None:
+    """ValueError unless the defect's squared norms, which overflow at a
+    huge We, are finite."""
+    if not np.all(np.isfinite(norms)):
+        raise ValueError(f"Weber number {we:g} is too large: the dynamic "
+                         "defect is not finite")
+
+
 def dynamic_residual(shape: CrossSection, sol: BoundarySolution,
                      we: float, lam: float) -> ResidualReport:
     """Measure the defect of 2H + lam - We ((1/r) dpsi/dn - W n.e_r)^2.
@@ -414,7 +415,8 @@ def dynamic_residual(shape: CrossSection, sol: BoundarySolution,
     Reports the L2 and sup norms of the pointwise defect, the gap of its
     boundary integral, and the integrated violation of the sign condition
     dPsi/dn <= 0 for the co-moving stream function, all on the solution's
-    boundary.  `shape` must be `sol.boundary.shape`, else ValueError.
+    boundary.  `shape` must be `sol.boundary.shape`, and We small enough
+    that the defect's norm is finite, else ValueError.
     """
     if not 0 < we < np.inf:
         raise ValueError("Weber number must be finite and positive")
@@ -425,9 +427,11 @@ def dynamic_residual(shape: CrossSection, sol: BoundarySolution,
     bnd = sol.boundary
     H = bnd.curvature + bnd.normal_r / bnd.r
     flow = sol.dn_psi / bnd.r - sol.W * bnd.normal_r
-    defect = 2.0 * H + lam - we * flow**2
     w = bnd.weights
-    l2 = float(np.sqrt(np.sum(defect**2 * w)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = 2.0 * H + lam - we * flow**2
+        l2 = float(np.sqrt(np.sum(defect**2 * w)))
+    _check_defect(l2, we)
     mx = float(np.max(np.abs(defect)))
     gap = float(abs(np.sum(defect * w)))
     scale = max(abs(float(np.sum(H * w))), 1e-30)
@@ -456,7 +460,7 @@ def optimal_W_lam(shape: CrossSection, we: float,
     weighted boundary mean, and the squared residual sum w g^2 - (sum w)
     lam^2 is a quartic in W on either side of the roots of <g>_w: its
     minimum is among the real critical points of both quartics and those
-    roots.
+    roots.  A We at which the quartics overflow is a ValueError.
     """
     if not 0 < we < np.inf:
         raise ValueError("Weber number must be finite and positive")
@@ -465,21 +469,21 @@ def optimal_W_lam(shape: CrossSection, we: float,
     dn_psi = cols[2]
     a = dn_psi[:, 0] / bnd.r
     b = dn_psi[:, 1] / bnd.r - bnd.normal_r
-    # nodal coefficients of g in powers of W, lowest first
-    g = np.stack([2.0 * (bnd.curvature + bnd.normal_r / bnd.r) - we * a**2,
-                  -2.0 * we * a * b, -we * b**2])
-    mean = g @ w / np.sum(w)
 
     def sq_norm(c):   # coefficients of sum w (c_0 + c_1 W + c_2 W^2)^2
         out = np.zeros(5)
         np.add.at(out, np.add.outer(range(3), range(3)), (c * w) @ c.T)
         return out
 
-    cands = np.concatenate([
-        P.polyroots(P.polyder(sq_norm(g))),                   # lam = 0
-        P.polyroots(P.polyder(sq_norm(g - mean[:, None]))),   # lam > 0
-        P.polyroots(mean),
-    ]).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        # nodal coefficients of g in powers of W, lowest first
+        g = np.stack([2.0 * (bnd.curvature + bnd.normal_r / bnd.r)
+                      - we * a**2, -2.0 * we * a * b, -we * b**2])
+        mean = g @ w / np.sum(w)
+        quartics = sq_norm(g), sq_norm(g - mean[:, None])   # lam = 0, > 0
+    _check_defect(quartics, we)
+    cands = np.concatenate([P.polyroots(P.polyder(q)) for q in quartics]
+                           + [P.polyroots(mean)]).real
     G = g[0] + np.outer(cands, g[1]) + np.outer(cands**2, g[2])
     lam = np.maximum(0.0, -(G @ w) / np.sum(w))
     best = int(np.argmin((G + lam[:, None]) ** 2 @ w))

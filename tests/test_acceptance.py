@@ -128,6 +128,21 @@ def test_06_small_R_nonnegative_delta():
                 assert rep.delta >= -1e-10
 
 
+def test_06_small_R_ellipses_nonnegative_delta():
+    # criterion 6 above draws no small-R section at its seed (they are
+    # about 0.2 % of random_smooth_shape draws); ellipses with n > 2m and
+    # m < R0 <= sqrt(m n / 2) are small-R by construction: R = R0, so
+    # 2 pi R^2 <= pi m n, the area
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        m = rng.uniform(0.3, 1.0)
+        n = m * rng.uniform(2.3, 6.0)
+        R0 = rng.uniform(1.05 * m, np.sqrt(m * n / 2.0))
+        rep = geometry_report(Ellipse(R0=R0, m=m, n=n))
+        assert 2.0 * np.pi * rep.R**2 <= rep.area
+        assert rep.delta >= -1e-10
+
+
 def test_07_manufactured_solver():
     with _Timer("7 manufactured solver", 60.0):
         shape = Ellipse(R0=2.0, m=0.8, n=0.6)

@@ -188,6 +188,10 @@ def test_non_finite_shape_parameter_is_validation_error(tmp_path, capsys,
                                         "coeffs": None}},
     {"kind": "fourier-star", "params": {"R0": 3.0, "base": 1.0,
                                         "coeffs": 0.1}},
+    # a kind that is no string is an unknown kind, not a TypeError
+    {"kind": [], "params": {}},
+    {"kind": None, "params": {}},
+    {"kind": 3, "params": {}},
 ])
 def test_malformed_shape_type_is_validation_error(tmp_path, payload):
     shape = _write_shape(tmp_path, payload)
@@ -212,6 +216,13 @@ def test_malformed_shape_type_is_validation_error(tmp_path, payload):
                              for k in (0, 2, 4, 1, 3)]}},
     {"kind": "polygon",
      "params": {"vertices": [[1e-13, -1e-13], [3e-13, 0.0], [1e-13, 2e-13]]}},
+    # polygons that touch or cross the axis
+    {"kind": "polygon",
+     "params": {"vertices": [[0.0, -1.0], [2.0, -1.0], [2.0, 1.0],
+                             [0.0, 1.0]]}},
+    {"kind": "polygon",
+     "params": {"vertices": [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0],
+                             [-1.0, 1.0]]}},
 ])
 @pytest.mark.parametrize("argv", [["analyze"], ["bound", "--we", "0.1"],
                                   ["solve", "--we", "1",
@@ -333,6 +344,17 @@ def test_search_writes_incumbent_and_log(tmp_path):
     log = (tmp_path / "search.json.log.csv").read_text().splitlines()
     assert log[0].startswith("eval,params,W,lam,dyn_residual_l2")
     assert len(log) - 1 == payload["report"]["n_evaluations"]
+
+
+def test_search_family_prefix_is_optional(tmp_path):
+    outs = []
+    for name in ("thick-disk", "family:thick-disk"):
+        out = tmp_path / f"{name}.json"
+        assert main(["search", "--shape", name, "--we", "0.5", "--budget",
+                     "3", "--resolution", "32", "--out", str(out)]) == 0
+        outs.append(_strict_json(out))
+    del outs[0]["config"]["shape"], outs[1]["config"]["shape"]
+    assert outs[0] == outs[1]
 
 
 def test_verify_lemmas_deterministic(tmp_path):
@@ -512,3 +534,27 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     loaded = json.loads(proc.stdout)
     assert loaded == {name: [] for name in
                       ["import bubblering", "import bubblering.cli", *runs]}
+
+
+def test_refused_search_loads_no_scipy(tmp_path):
+    # the node count is checked with We and the budget, before
+    # scipy.optimize is imported
+    out = tmp_path / "search.json"
+    code = textwrap.dedent("""
+        import sys
+        import bubblering.cli
+        status = bubblering.cli.main(sys.argv[1:])
+        print(status, sorted(m for m in sys.modules
+                             if m == "scipy" or m.startswith("scipy.")))
+    """)
+    src = str(Path(bubblering.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "search", "--shape", "family:thick-disk",
+         "--we", "1", "--resolution", "65", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert proc.stdout == "2 []\n"
+    assert proc.stderr == ("error: resolution must lie in [8, 8192] and be "
+                           "even, got 65\n")
+    assert not out.exists()

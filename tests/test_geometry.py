@@ -20,6 +20,7 @@ from bubblering.geometry import (
     width_height,
 )
 from bubblering import shapes
+from bubblering.search import residual_minimize
 from bubblering.shapes import (
     Disk,
     Ellipse,
@@ -31,6 +32,7 @@ from bubblering.shapes import (
     random_convex_polygon,
     random_smooth_shape,
 )
+from bubblering.solver import solve_dirichlet
 
 POLYGON = Polygon(vertices=((1.0, -0.5), (2.0, -0.8), (2.5, 0.0), (2.0, 0.8),
                             (1.0, 0.5)))
@@ -505,6 +507,24 @@ def test_report_keeps_its_checked_boundary(shape):
     assert set(rep.to_dict()) == REPORT_FIELDS
     assert geometry_report(shape) == rep
     assert "boundary" not in repr(rep)
+
+
+def test_solution_and_search_keys():
+    # the solve JSON's `solution` block and the search `report`: their
+    # dataclass fields, less the boundary (solve) and the log (search)
+    sol = solve_dirichlet(Disk(R0=2.0, rho0=0.7), 0.0, 64)
+    assert set(sol.to_dict()) == {
+        "density", "psi_trace", "dn_psi", "W", "gamma", "circulation",
+        "condition_number", "resolution"}
+    assert "boundary" not in repr(sol)
+    res = residual_minimize("thick-disk", we=0.5, budget=3, resolution=32)
+    assert set(res.to_dict()) == {
+        "family", "we", "seed", "budget", "resolution", "best_params",
+        "best_W", "best_lam", "best_residual", "best_report",
+        "n_evaluations", "n_solves", "best_shape"}
+    assert res.to_dict()["best_shape"] == {
+        "kind": "disk", "params": {"R0": res.best_params[0],
+                                   "rho0": float(np.sqrt(2.0))}}
 
 
 def _two_sample_estimate(shape, n):

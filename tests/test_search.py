@@ -55,6 +55,12 @@ def test_family_admissibility():
         family_from_name("no-such-family")
 
 
+@pytest.mark.parametrize("name", ["thick-disk", "ellipse", "fourier"])
+def test_family_name_prefix_is_optional(name):
+    assert family_from_name("family:" + name).name == name
+    assert family_from_name(name).name == name
+
+
 def test_budget_one_returns_initial_candidate():
     res = residual_minimize("thick-disk", we=0.5, budget=1, seed=0,
                             resolution=64)

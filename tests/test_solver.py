@@ -233,6 +233,18 @@ def test_residual_requires_positive_we():
 
 
 @pytest.mark.parametrize("call", [
+    lambda: dynamic_residual(SHAPE, solve_dirichlet(SHAPE, 0.0, 64),
+                             we=1e300, lam=0.0),
+    lambda: solver.optimal_W_lam(SHAPE, 1e300, 64),
+], ids=["dynamic_residual", "optimal_W_lam"])
+def test_we_with_overflowing_defect_is_rejected(call):
+    # We * flow^2 is finite but its square is not: a ValueError naming We,
+    # and no RuntimeWarning (pytest turns those into errors)
+    with pytest.raises(ValueError, match=r"Weber number 1e\+300 is too large"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
     lambda: verdict(explicit_bound(geometry_report(SHAPE), SHAPE), np.nan,
                     True),
     lambda: universal_bound(np.nan, 1.0),
