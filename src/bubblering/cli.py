@@ -124,7 +124,9 @@ def cmd_solve(args) -> int:
 def cmd_search(args) -> int:
     if args.we is None:
         raise InvalidShapeError("search needs --we")
-    res = residual_minimize(args.shape or "thick-disk", we=args.we,
+    # an omitted --shape is the default family; an empty one is refused
+    family = "thick-disk" if args.shape is None else args.shape
+    res = residual_minimize(family, we=args.we,
                             budget=args.budget, seed=args.seed,
                             resolution=args.resolution)
     _emit(args, _payload(args, res.to_dict(), args.resolution))

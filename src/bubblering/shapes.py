@@ -1,9 +1,10 @@
 """Cross-section shapes of an axisymmetric ring in the meridional half plane.
 
 A cross-section is a closed convex curve in {r > 0}, symmetric under
-z -> -z.  Smooth kinds (disk, ellipse, fourier-star) are parameterized by a
-uniform angle and sampled for spectrally accurate trapezoidal quadrature;
-polygons carry exact per-edge data instead.
+z -> -z.  Smooth kinds (disk, ellipse, fourier-star) are parameterized by an
+angle t and sampled on nodes uniform in s, t = s + alpha sin s (alpha = 0
+unless the solver grades them), for spectrally accurate trapezoidal
+quadrature; polygons carry exact per-edge data instead.
 """
 
 from __future__ import annotations
@@ -194,8 +195,10 @@ class Polygon(CrossSection):
 class SmoothBoundary:
     """Sampled closed curve: nodes, outward normals, weights, curvature.
 
-    t is the uniform parameter grid; weights are arc-length trapezoidal
-    weights (spectrally accurate for smooth closed curves) summing to the
+    The nodes are uniform in s, s_j = 2 pi j / n, and t = t(s_j) =
+    s_j + alpha sin s_j holds the shape's parameter at each (t = s when
+    alpha = 0).  `speed` is |dX/ds| and the weights, arc-length trapezoidal
+    weights in s (spectrally accurate for smooth closed curves), sum to the
     perimeter.  `shape` is the section that was sampled and checked.
     """
 
@@ -208,6 +211,7 @@ class SmoothBoundary:
     normal_z: np.ndarray
     curvature: np.ndarray
     weights: np.ndarray
+    alpha: float
 
     @property
     def n_nodes(self) -> int:
@@ -238,15 +242,23 @@ class PolygonBoundary:
         return float(np.sum(self.edge_lengths))
 
 
-def _smooth_boundary(shape, n: int) -> SmoothBoundary:
+def _smooth_boundary(shape, n: int, alpha: float) -> SmoothBoundary:
     """Nodes 0..n/2 (n even) are evaluated and nodes n/2+1..n-1 copied from
     their mirrors n - j with z and the normal's z component negated, so the
     sampled curve is exactly z -> -z symmetric; the mirror's fixed nodes
-    t = 0 and t = pi lie on z = 0."""
-    t = 2.0 * np.pi * np.arange(n) / n
+    s = t = 0 and s = t = pi lie on z = 0.  The map t(s) = s + alpha sin s
+    is odd and fixes both, so it keeps the mirror."""
+    t = s = 2.0 * np.pi * np.arange(n) / n
     half = n // 2
+    if alpha:
+        t = s + alpha * np.sin(s)
     r, z = shape.point(t[:half + 1])
     (dr, dz), (ddr, ddz) = shape.derivs(t[:half + 1])
+    if alpha:   # X_s = X_t t', X_ss = X_tt t'^2 + X_t t''
+        d1 = 1.0 + alpha * np.cos(s[:half + 1])
+        d2 = -alpha * np.sin(s[:half + 1])
+        ddr, ddz = ddr * d1**2 + dr * d2, ddz * d1**2 + dz * d2
+        dr, dz = dr * d1, dz * d1
     speed = np.hypot(dr, dz)
     if np.any(speed <= 0):
         raise InvalidShapeError("degenerate parameterization (zero speed)")
@@ -262,7 +274,7 @@ def _smooth_boundary(shape, n: int) -> SmoothBoundary:
     return SmoothBoundary(
         shape=shape, t=t, r=r, z=z, speed=speed,
         normal_r=nr, normal_z=nz, curvature=kappa,
-        weights=speed * (2.0 * np.pi / n),
+        weights=speed * (2.0 * np.pi / n), alpha=alpha,
     )
 
 
@@ -333,14 +345,18 @@ def node_count(resolution) -> int:
 
 
 def boundary_nodes(shape: CrossSection,
-                   resolution: int = DEFAULT_RESOLUTION):
+                   resolution: int = DEFAULT_RESOLUTION, *,
+                   alpha: float = 0.0):
     """Sample the boundary: positions, unit outward normals, arc-length
     weights and signed curvature (smooth kinds), or exact edge data with
-    turning angles (polygons).  Smooth kinds take `resolution` nodes;
-    polygons ignore it.
+    turning angles (polygons).  Smooth kinds take `resolution` nodes,
+    uniform in s and graded in the shape's parameter by t = s + alpha sin s
+    (the solver's choice of alpha; uniform in t at the default 0);
+    polygons ignore both.
 
     Raises ValueError for a node count that `node_count` refuses (before
-    any work that scales with n), and InvalidShapeError for polygons with
+    any work that scales with n) or an alpha outside [0, 1), where the map
+    would not be monotone, and InvalidShapeError for polygons with
     more than MAX_RESOLUTION vertices (likewise), non-convex curves, curves
     touching the axis, or polygons not symmetric under z -> -z (the smooth
     kinds are symmetric by construction).
@@ -349,7 +365,10 @@ def boundary_nodes(shape: CrossSection,
         shape.validate()
         return _polygon_boundary(shape)
     shape.validate()
-    bnd = _smooth_boundary(shape, node_count(resolution))
+    n = node_count(resolution)
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"grading alpha must lie in [0, 1), got {alpha}")
+    bnd = _smooth_boundary(shape, n, float(alpha))
     _check_smooth(shape, bnd)
     return bnd
 

@@ -357,6 +357,20 @@ def test_search_family_prefix_is_optional(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_search_refuses_an_empty_shape(tmp_path, capsys):
+    # an omitted --shape is the thick-disk family; an empty name is not
+    # a family, as it is no shape file for the other commands
+    out = tmp_path / "search.json"
+    assert main(["search", "--shape", "", "--we", "1", "--budget", "2",
+                 "--resolution", "32", "--out", str(out)]) == 2
+    assert "unknown family ''" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "search.json.log.csv").exists()
+    assert main(["search", "--we", "1", "--budget", "2", "--resolution",
+                 "32", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["report"]["family"] == "thick-disk"
+
+
 def test_verify_lemmas_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["verify-lemmas", "--seed", "42", "--count", "3"]

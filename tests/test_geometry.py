@@ -515,7 +515,7 @@ def test_solution_and_search_keys():
     sol = solve_dirichlet(Disk(R0=2.0, rho0=0.7), 0.0, 64)
     assert set(sol.to_dict()) == {
         "density", "psi_trace", "dn_psi", "W", "gamma", "circulation",
-        "condition_number", "resolution"}
+        "condition_number", "resolution", "alpha"}
     assert "boundary" not in repr(sol)
     res = residual_minimize("thick-disk", we=0.5, budget=3, resolution=32)
     assert set(res.to_dict()) == {
