@@ -124,9 +124,7 @@ def cmd_solve(args) -> int:
 def cmd_search(args) -> int:
     if args.we is None:
         raise InvalidShapeError("search needs --we")
-    # an omitted --shape is the default family; an empty one is refused
-    family = "thick-disk" if args.shape is None else args.shape
-    res = residual_minimize(family, we=args.we,
+    res = residual_minimize(args.shape, we=args.we,
                             budget=args.budget, seed=args.seed,
                             resolution=args.resolution)
     _emit(args, _payload(args, res.to_dict(), args.resolution))
@@ -292,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--resolution", "--w", "--lam", resolution=DEFAULT_RESOLUTION)
     add("search", cmd_search, "residual minimization over a family",
         "--shape", "--we", "--seed", "--budget", "--resolution",
-        resolution=SEARCH_RESOLUTION)
+        shape="thick-disk", resolution=SEARCH_RESOLUTION)
     add("verify-lemmas", cmd_verify_lemmas, "seeded property suites",
         "--seed", "--count")
     add("norbury-table", cmd_norbury_table, "near-axis scaling table")

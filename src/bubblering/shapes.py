@@ -248,17 +248,17 @@ def _smooth_boundary(shape, n: int, alpha: float) -> SmoothBoundary:
     sampled curve is exactly z -> -z symmetric; the mirror's fixed nodes
     s = t = 0 and s = t = pi lie on z = 0.  The map t(s) = s + alpha sin s
     is odd and fixes both, so it keeps the mirror."""
-    t = s = 2.0 * np.pi * np.arange(n) / n
+    s = 2.0 * np.pi * np.arange(n) / n
+    sin_s = np.sin(s)
+    t = s + alpha * sin_s
     half = n // 2
-    if alpha:
-        t = s + alpha * np.sin(s)
     r, z = shape.point(t[:half + 1])
     (dr, dz), (ddr, ddz) = shape.derivs(t[:half + 1])
-    if alpha:   # X_s = X_t t', X_ss = X_tt t'^2 + X_t t''
-        d1 = 1.0 + alpha * np.cos(s[:half + 1])
-        d2 = -alpha * np.sin(s[:half + 1])
-        ddr, ddz = ddr * d1**2 + dr * d2, ddz * d1**2 + dz * d2
-        dr, dz = dr * d1, dz * d1
+    # X_s = X_t t', X_ss = X_tt t'^2 + X_t t''
+    d1 = 1.0 + alpha * np.cos(s[:half + 1])
+    d2 = -alpha * sin_s[:half + 1]
+    ddr, ddz = ddr * d1**2 + dr * d2, ddz * d1**2 + dz * d2
+    dr, dz = dr * d1, dz * d1
     speed = np.hypot(dr, dz)
     if np.any(speed <= 0):
         raise InvalidShapeError("degenerate parameterization (zero speed)")

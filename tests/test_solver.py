@@ -457,8 +457,8 @@ def test_manufactured_normal_derivative_near_the_axis(n, tol):
     assert np.max(np.abs(dn - exact)) <= tol * np.max(np.abs(exact))
 
 
-def test_grading_follows_r_min_over_a_alone():
-    # 0 from r_min / a = 0.12 up, 0.9 from 0.03 down, monotone between;
+def test_grading_follows_r_min_over_a():
+    # disks: 0 from r_min / a = 0.12 up, 0.9 from 0.03 down, monotone between;
     # a rescaled copy keeps its alpha
     def disk(x):   # area 2 pi, r_min = x
         return Disk(R0=np.sqrt(2.0) + x, rho0=np.sqrt(2.0))
@@ -496,20 +496,63 @@ def test_graded_nodes_are_shared_by_n_and_n_over_2():
     assert np.array_equal(2.0 * fine.weights[::2], coarse.weights)
 
 
-@pytest.mark.parametrize("eps", 10.0 ** np.linspace(-2.5, -1.0, 7))
-def test_near_axis_flow_speed_converges_at_512(eps):
-    # the flow-speed gap of n = 512 against n = 256 on the shared nodes, on
-    # disks eps / R0 off the axis; uniform nodes leave 0.635 at 10^-2.5,
-    # graded ones 1.4e-5 there and 2.1e-7 or less on the other rungs
-    shape = Disk(R0=1.7, rho0=1.7 * (1.0 - eps))
-    W = 0.3
+def _flow_gap(shape, W=0.3):
+    """The flow-speed gap of n = 512 against n = 256 on the shared nodes,
+    relative to its sup norm."""
     sol = solve_dirichlet(shape, W, 512)
     half = solve_dirichlet(shape, W, 256)
+    assert abs(sol.circulation - 1.0) <= 1e-12
     bnd = half.boundary
     flow = sol.dn_psi[::2] / bnd.r - W * bnd.normal_r
     flow_half = half.dn_psi / bnd.r - W * bnd.normal_r
-    assert np.max(np.abs(flow - flow_half)) <= 1e-4 * np.max(np.abs(flow))
-    assert abs(sol.circulation - 1.0) <= 1e-12
+    return np.max(np.abs(flow - flow_half)) / np.max(np.abs(flow))
+
+
+@pytest.mark.parametrize("eps", 10.0 ** np.linspace(-2.5, -1.0, 7))
+def test_near_axis_flow_speed_converges_at_512(eps):
+    # disks eps / R0 off the axis; uniform nodes leave 0.635 at 10^-2.5,
+    # graded ones 1.4e-5 there and 2.1e-7 or less on the other rungs
+    assert _flow_gap(Disk(R0=1.7, rho0=1.7 * (1.0 - eps))) <= 1e-4
+
+
+def _ellipse_off_the_axis(m, n, x):
+    return Ellipse(R0=m + x * np.sqrt(m * n / 2.0), m=m, n=n)
+
+
+@pytest.mark.parametrize("m, n, graded_max, uniform_min", [
+    (2.0, 0.3, 1e-10, 1e-7),      # measured 2.8e-12, uniform 3.9e-7
+    (0.3, 2.0, 1e-4, 1e-2),       # measured 1.6e-5, uniform 2.0e-2
+], ids=["flat", "tall"])
+def test_graded_ellipse_near_the_axis_beats_uniform_nodes(
+        m, n, graded_max, uniform_min, monkeypatch):
+    # the flattest and the tallest ellipse `random_smooth_shape` draws,
+    # r_min / a = 0.03 off the axis: the rule grades them fully, and the
+    # graded gap is below the uniform one
+    shape = _ellipse_off_the_axis(m, n, 0.03)
+    assert solver._grading(shape) == pytest.approx(0.9, abs=1e-12)
+    graded = _flow_gap(shape)
+    monkeypatch.setattr(solver, "_grading", lambda shape: 0.0)
+    uniform = _flow_gap(shape)
+    assert graded <= graded_max and uniform >= uniform_min
+
+
+def test_sharp_outer_tip_stops_the_grading(monkeypatch):
+    # n/m = 0.03: the outer tip's radius of curvature is 0.0073 a.  At
+    # r_min / a = 0.03 thinning the nodes there costs more than crowding
+    # them at r_min gains (gap 2.5e-4 at alpha = 0.9, 1.0e-6 uniform), so
+    # the rule keeps them uniform; at 0.005, below that radius, it grades
+    # (2.5e-4, against 5.5e-3 uniform)
+    q = 0.03
+    m, n = 1.0 / np.sqrt(q), np.sqrt(q)
+    sharp, near = (_ellipse_off_the_axis(m, n, x) for x in (0.03, 0.005))
+    assert solver._grading(sharp) == 0.0
+    assert solver._grading(near) == 0.9
+    assert _flow_gap(sharp) <= 2e-6
+    assert _flow_gap(near) <= 5e-4
+    monkeypatch.setattr(solver, "_grading", lambda shape: 0.9)
+    assert _flow_gap(sharp) >= 1e-4
+    monkeypatch.setattr(solver, "_grading", lambda shape: 0.0)
+    assert _flow_gap(near) >= 2e-3
 
 
 def test_graded_section_is_mirror_symmetric():
