@@ -17,6 +17,12 @@ Bounded Nelder-Mead asks for the same point more than once (a reflection
 clipped onto a bound is re-evaluated until the simplex collapses), so the
 objective remembers each distinct parameter vector: a repeat costs no
 solve, but still counts toward the budget and gets its own log row.
+
+The Nelder-Mead (`_nelder_mead`) is numpy only: a step-for-step port of
+scipy's `_minimize_neldermead` (scipy 1.17.1, BSD-3) for the options used
+here.  It asks for the same points as scipy 1.17.1, bit for bit, but the
+search no longer loads scipy.optimize and its results no longer depend on
+the installed scipy's version.
 """
 
 from __future__ import annotations
@@ -178,6 +184,91 @@ def _row(family: ShapeFamily, params: tuple, we: float, resolution) -> dict:
             "shape": shape, "report": rep}
 
 
+class _BudgetSpent(Exception):
+    """An evaluation was asked for past the budget."""
+
+
+def _nelder_mead(fun, simplex, bounds, maxfev: int, xatol: float,
+                 fatol: float):
+    """Minimize `fun` by Nelder-Mead from `simplex` ((N + 1) x N) with at
+    most `maxfev` calls; returns the best vertex and its value.
+
+    A step-for-step port of scipy's `_minimize_neldermead` (scipy 1.17.1,
+    BSD-3) for the options `residual_minimize` uses: a given initial
+    simplex, (low, high) `bounds` per parameter or None, maxfev, xatol and
+    fatol, no maxiter and no adaptive coefficients.  Same coefficients,
+    same expressions, same sorts, so it asks `fun` for the same points bit
+    for bit.  A bounded simplex is reflected into the box and clipped, and
+    so is every trial point.  A call past the budget ends the iteration
+    it falls in, as scipy's `_MaxFuncCallError` does.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.array(simplex, dtype=float)
+    N = sim.shape[1]
+    if bounds is None:
+        def clip(x):
+            return x
+    else:
+        lo, hi = np.array(bounds, dtype=float).T
+        sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+
+        def clip(x):
+            return np.clip(x, lo, hi)
+    fsim = np.full(N + 1, np.inf)
+    ncalls = 0
+
+    def f(x):
+        nonlocal ncalls
+        if ncalls >= maxfev:
+            raise _BudgetSpent
+        ncalls += 1
+        return fun(np.copy(x))
+
+    def order(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    try:
+        for k in range(N + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = order(*order(sim, fsim))   # scipy sorts twice here
+    while ncalls < maxfev:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = clip((1 + rho) * xbar - rho * sim[-1])
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = clip((1 + rho * chi) * xbar - rho * chi * sim[-1])
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:   # outside contraction
+                    xc = clip((1 + psi * rho) * xbar - psi * rho * sim[-1])
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:                # inside contraction
+                    xc = clip((1 - psi) * xbar + psi * sim[-1])
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, N + 1):
+                        sim[j] = clip(sim[0] + sigma * (sim[j] - sim[0]))
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = order(sim, fsim)
+    return sim[0], fsim[0]
+
+
 def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
                       seed: int = 0,
                       resolution: int = SEARCH_RESOLUTION) -> SearchResult:
@@ -188,10 +279,13 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
     is deterministic for fixed seed and budget.  `family` may be a name.
     budget, an integer >= 1, counts evaluations; budget = 1 returns the
     initial candidate's residual.  Family, We, budget and node count are
-    checked before scipy.optimize is imported.  Each distinct parameter
-    vector (exact bytes, so 0.0 and -0.0 differ) is evaluated once, to one
-    row (`_row`); every evaluation logs a copy of its vector's row with its
-    own eval number.  n_solves counts the distinct vectors.
+    checked before the first solve, so a refused search loads no scipy.
+    The Nelder-Mead is `_nelder_mead`, scipy 1.17.1's own ported to numpy,
+    so the points it visits do not depend on the installed scipy.  Each
+    distinct parameter vector (exact bytes, so 0.0 and -0.0 differ) is
+    evaluated once, to one row (`_row`); every evaluation logs a copy of
+    its vector's row with its own eval number.  n_solves counts the
+    distinct vectors.
     """
     if isinstance(family, str):
         family = family_from_name(family)
@@ -225,10 +319,8 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
     # evaluates x0 first, so budget = 1 stops there
     steps = 0.05 * (1.0 + np.abs(x0)) * (1.0 + 0.1 * rng.random(x0.size))
     simplex = np.vstack([x0, x0 + np.diag(steps)])
-    from scipy.optimize import minimize   # loaded by the first search
-    minimize(objective, x0, method="Nelder-Mead", bounds=family.bounds,
-             options={"maxfev": budget, "initial_simplex": simplex,
-                      "xatol": 1e-10, "fatol": 1e-12})
+    _nelder_mead(objective, simplex, family.bounds, budget,
+                 xatol=1e-10, fatol=1e-12)
 
     best = min(log, key=score)   # the first of equal minima
     return SearchResult(

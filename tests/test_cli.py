@@ -572,3 +572,26 @@ def test_refused_search_loads_no_scipy(tmp_path):
     assert proc.stderr == ("error: resolution must lie in [8, 8192] and be "
                            "even, got 65\n")
     assert not out.exists()
+
+
+def test_search_loads_scipy_linalg_but_not_optimize(tmp_path):
+    # the search's Nelder-Mead is numpy only; its solves load scipy.linalg
+    out = tmp_path / "search.json"
+    code = textwrap.dedent("""
+        import json, sys
+        import bubblering.cli
+        status = bubblering.cli.main(sys.argv[1:])
+        print(json.dumps([status, "scipy.linalg" in sys.modules,
+                          sorted(m for m in sys.modules
+                                 if m.startswith("scipy.optimize"))]))
+    """)
+    src = str(Path(bubblering.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "search", "--shape", "family:thick-disk",
+         "--we", "0.5", "--budget", "10", "--resolution", "64",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert json.loads(proc.stdout) == [0, True, []]
+    assert json.loads(out.read_text())["report"]["n_solves"] >= 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bubblering import search
 from bubblering.search import (
     EllipseFamily,
     FourierFamily,
@@ -185,14 +186,12 @@ class _CountingFamily(ShapeFamily):
 
 def _scripted_search(monkeypatch, points, family):
     # stand-in optimizer that asks for the given points in order;
-    # residual_minimize imports `minimize` from scipy.optimize at each call
-    import scipy.optimize
-
-    def scripted(fun, x0, **kwargs):
+    # residual_minimize looks `_nelder_mead` up in its module at each call
+    def scripted(fun, simplex, bounds, maxfev, **kwargs):
         for p in points:
             fun(np.array([p]))
 
-    monkeypatch.setattr(scipy.optimize, "minimize", scripted)
+    monkeypatch.setattr(search, "_nelder_mead", scripted)
     return residual_minimize(family, we=0.5, budget=len(points),
                              resolution=32)
 
@@ -214,3 +213,123 @@ def test_bit_different_points_are_separate_solves(monkeypatch):
     assert res.n_evaluations == 3 and res.n_solves == 2
     assert res.log[2]["report"] is res.log[0]["report"]
     assert res.log[1]["report"] is not res.log[0]["report"]
+
+
+# ---------------------------------------------------------------------------
+# the numpy Nelder-Mead against scipy's
+
+_SQRT2, _R0_MAX = np.sqrt(2.0), np.sqrt(8.0 / 3.0)
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                        + (1.0 - x[:-1]) ** 2))
+
+
+def _bumpy(x):
+    # a bowl with ripples: contractions fail and the simplex shrinks
+    return float(np.sum((x - 0.2) ** 2) + 0.05 * np.sum(np.cos(60.0 * x)))
+
+
+def _walled(x):
+    # inf past a wall, as a penalized candidate scores in a search
+    return np.inf if x[0] + x[1] > 0.05 else _rosenbrock(x)
+
+
+# name: (objective, initial simplex, bounds, whether the run shrinks)
+_NM_CASES = {
+    # the thick-disk search's shape: the starting vertex 1.68 lies past
+    # R0 = sqrt(8/3) and is reflected inside; later reflections clip onto it
+    "clipped-1d": (lambda x: float((x[0] - 2.0) ** 2), [[1.55], [1.68]],
+                   ((_SQRT2, _R0_MAX),), False),
+    "rosenbrock-2d": (_rosenbrock, [[-1.2, 1.0], [-1.1, 1.0], [-1.2, 1.1]],
+                      None, False),
+    "rosenbrock-3d": (_rosenbrock, [[-1.0, 1.0, 0.5], [-0.9, 1.0, 0.5],
+                                    [-1.0, 1.1, 0.5], [-1.0, 1.0, 0.6]],
+                      None, False),
+    "bumpy-2d": (_bumpy, [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]], None, True),
+    "bumpy-3d": (_bumpy, [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0],
+                          [0.0, 0.0, 0.1]], None, True),
+    # two of the three starting vertices score inf and tie in the sort
+    "walled-2d": (_walled, [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]], None, False),
+}
+
+
+def _port_points(fun, simplex, bounds, maxfev):
+    points = []
+
+    def traced(x):
+        points.append(x.tobytes())
+        return fun(x)
+
+    x, fx = search._nelder_mead(traced, np.array(simplex), bounds, maxfev,
+                                xatol=1e-10, fatol=1e-12)
+    return points, x, fx
+
+
+def _scipy_points(fun, simplex, bounds, maxfev):
+    """Points asked for, the call count at the end of each iteration, and
+    the result of scipy's Nelder-Mead with residual_minimize's options."""
+    from scipy.optimize import minimize
+    points, ends = [], []
+
+    def traced(x):
+        points.append(x.tobytes())
+        return fun(x)
+
+    def callback(intermediate_result):
+        ends.append(len(points))
+
+    res = minimize(traced, simplex[0], method="Nelder-Mead", bounds=bounds,
+                   callback=callback,
+                   options={"maxfev": maxfev, "initial_simplex": simplex,
+                            "xatol": 1e-10, "fatol": 1e-12})
+    return points, ends, res
+
+
+@pytest.mark.parametrize("name", _NM_CASES)
+def test_nelder_mead_asks_for_scipys_points(name):
+    fun, simplex, bounds, shrinks = _NM_CASES[name]
+    N = len(simplex[0])
+    points, ends, _ = _scipy_points(fun, simplex, bounds, 5000)
+    assert len(points) < 5000   # stopped by xatol and fatol
+    assert _port_points(fun, simplex, bounds, 5000)[0] == points
+    if bounds is not None:
+        hi = np.array([b[1] for b in bounds])
+        assert hi.tobytes() in points
+    # an iteration of N + 2 calls shrinks: a budget in [start + 2, end)
+    # ends inside the shrink, after some vertices moved
+    starts = [N + 1] + ends[:-1]
+    in_shrink = {b for s, e in zip(starts, ends) if e - s == N + 2
+                 for b in range(s + 2, e)}
+    assert bool(in_shrink) == shrinks
+    budgets = {*range(1, 41), N + 1, len(points), len(points) + 1,
+               *sorted(in_shrink)[:6]}
+    for budget in sorted(budgets):
+        want, _, res = _scipy_points(fun, simplex, bounds, budget)
+        got, x, fx = _port_points(fun, simplex, bounds, budget)
+        assert got == want == points[:budget], budget
+        assert x.tobytes() == res.x.tobytes() and fx == res.fun, budget
+
+
+def test_nelder_mead_pinned_to_scipy_1_17_1():
+    # the first 12 points scipy 1.17.1 asks for on the rippled bowl (a
+    # reflection, an expansion, contractions, then a shrink's two points),
+    # so the port keeps its meaning if a later scipy changes
+    pinned = [
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.999999999999ap-4", "0x0.0p+0"),
+        ("0x0.0p+0", "0x1.999999999999ap-4"),
+        ("0x1.999999999999ap-4", "0x1.999999999999ap-4"),
+        ("0x1.3333333333334p-3", "0x1.3333333333334p-3"),
+        ("0x1.0000000000000p-2", "0x1.999999999999cp-5"),
+        ("0x1.3333333333334p-2", "0x1.999999999999bp-3"),
+        ("0x1.0000000000001p-2", "0x1.3333333333334p-3"),
+        ("0x1.3333333333336p-3", "0x1.0000000000000p-2"),
+        ("0x1.6666666666668p-3", "0x1.999999999999ap-3"),
+        ("0x1.999999999999bp-3", "0x1.3333333333334p-3"),
+        ("0x1.999999999999ap-3", "0x1.999999999999bp-4"),
+    ]
+    want = [np.array([float.fromhex(h) for h in p]).tobytes() for p in pinned]
+    fun, simplex, bounds, _ = _NM_CASES["bumpy-2d"]
+    assert _port_points(fun, simplex, bounds, len(pinned))[0] == want
