@@ -143,16 +143,18 @@ class SearchResult:
     log: list = field(default_factory=list)
 
     LOG_FIELDS = ("eval", "params", "W", "lam", "dyn_residual_l2",
-                  "dyn_residual_max", "identity_gap", "penalized")
+                  "dyn_residual_max", "penalized")
 
     def to_dict(self) -> dict:
         """Every field but the log; `best_shape` as a shape file, and only
-        when there is one."""
+        when there is one.  `best_report` leaves out `identity_gap`, which
+        is roundoff at `optimal_W_lam`'s lam."""
         out = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name not in ("best_shape", "log")}
         out["best_params"] = list(self.best_params)
         if self.best_report is not None:
             out["best_report"] = self.best_report.to_dict()
+            del out["best_report"]["identity_gap"]
         if self.best_shape is not None:
             out["best_shape"] = shape_to_dict(self.best_shape)
         return out
@@ -175,12 +177,10 @@ def _row(family: ShapeFamily, params: tuple, we: float, resolution) -> dict:
     except (InvalidShapeError, SolverError):
         return {"params": params, "W": np.nan, "lam": np.nan,
                 "dyn_residual_l2": np.nan, "dyn_residual_max": np.nan,
-                "identity_gap": np.nan, "penalized": True, "shape": None,
-                "report": None}
+                "penalized": True, "shape": None, "report": None}
     return {"params": params, "W": sol.W, "lam": rep.lam,
             "dyn_residual_l2": rep.dyn_residual_l2,
-            "dyn_residual_max": rep.dyn_residual_max,
-            "identity_gap": rep.identity_gap, "penalized": False,
+            "dyn_residual_max": rep.dyn_residual_max, "penalized": False,
             "shape": shape, "report": rep}
 
 

@@ -142,8 +142,9 @@ class ResidualReport:
 
     dyn_residual_l2: float
     dyn_residual_max: float
-    identity_gap: float          # |integral of the pointwise defect|
-    identity_gap_rel: float      # same, relative to the total-H scale
+    # |integral of the pointwise defect|: how far lam is from the
+    # balancing value -<2H - We flow^2>_w, so 0 when lam is that value
+    identity_gap: float
     max_principle_violation: float
     lam: float
     we: float
@@ -479,7 +480,8 @@ def dynamic_residual(shape: CrossSection, sol: BoundarySolution,
     """Measure the defect of 2H + lam - We ((1/r) dpsi/dn - W n.e_r)^2.
 
     Reports the L2 and sup norms of the pointwise defect, the gap of its
-    boundary integral, and the integrated violation of the sign condition
+    boundary integral (how far `lam` is from the value that balances the
+    defect on average), and the integrated violation of the sign condition
     dPsi/dn <= 0 for the co-moving stream function, all on the solution's
     boundary.  `shape` must be `sol.boundary.shape`, and We small enough
     that the defect's norm is finite, else ValueError.
@@ -500,14 +502,12 @@ def dynamic_residual(shape: CrossSection, sol: BoundarySolution,
     _check_defect(l2, we)
     mx = float(np.max(np.abs(defect)))
     gap = float(abs(np.sum(defect * w)))
-    scale = max(abs(float(np.sum(H * w))), 1e-30)
     dn_Psi = sol.dn_psi - sol.W * bnd.r * bnd.normal_r
     viol = float(np.sum(np.maximum(dn_Psi, 0.0) * w))
     return ResidualReport(
         dyn_residual_l2=l2,
         dyn_residual_max=mx,
         identity_gap=gap,
-        identity_gap_rel=gap / scale,
         max_principle_violation=viol,
         lam=float(lam),
         we=float(we),

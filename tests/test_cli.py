@@ -120,6 +120,9 @@ def test_solve_outputs_solution_and_residual(tmp_path):
     rep = json.loads(out.read_text())["report"]
     assert abs(rep["solution"]["circulation"] - 1.0) < 1e-8
     assert rep["residual"]["dyn_residual_l2"] > 0
+    # the user's lam: the gap says how far it is from the balancing value
+    assert rep["residual"]["identity_gap"] > 0
+    assert "identity_gap_rel" not in rep["residual"]
 
 
 def test_missing_we_is_validation_error(tmp_path):
@@ -342,8 +345,11 @@ def test_search_writes_incumbent_and_log(tmp_path):
     assert 1 <= payload["report"]["n_solves"] <= 10
     assert payload["report"]["best_shape"]["kind"] == "disk"
     log = (tmp_path / "search.json.log.csv").read_text().splitlines()
-    assert log[0].startswith("eval,params,W,lam,dyn_residual_l2")
+    assert log[0] == ("eval,params,W,lam,dyn_residual_l2,dyn_residual_max,"
+                      "penalized")
     assert len(log) - 1 == payload["report"]["n_evaluations"]
+    # identity_gap is roundoff at the search's lam, so neither reports it
+    assert "identity_gap" not in payload["report"]["best_report"]
 
 
 def test_search_family_prefix_is_optional(tmp_path):
