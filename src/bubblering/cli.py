@@ -195,15 +195,19 @@ def _suite_rows(seed: int, count: int):
         violations += sum(c < 0 for c in checks)
     suites.append(("proof-chain", count, margin, violations == 0))
 
-    # small-R sections have nonnegative delta; no margin if none is small-R
+    # small-R sections have nonnegative delta; ellipses with n > 2m and
+    # m < R0 <= sqrt(m n / 2) are small-R by construction: R = R0, so
+    # 2 pi R^2 <= pi m n, the area
     violations = 0
-    margin = None
+    margin = np.inf
     for _ in range(count):
-        rep = geometry_report(random_smooth_shape(rng))
-        if 2 * np.pi * rep.R**2 <= rep.area:
-            margin = rep.delta if margin is None else min(margin, rep.delta)
-            if rep.delta < -1e-10:
-                violations += 1
+        m = rng.uniform(0.3, 1.0)
+        n = m * rng.uniform(2.3, 6.0)
+        R0 = rng.uniform(1.05 * m, np.sqrt(m * n / 2.0))
+        rep = geometry_report(Ellipse(R0=R0, m=m, n=n))
+        margin = min(margin, rep.delta)
+        violations += not (2 * np.pi * rep.R**2 <= rep.area
+                           and rep.delta >= -1e-10)
     suites.append(("small-R-nonnegative-delta", count, margin, violations == 0))
     return suites
 
@@ -213,7 +217,7 @@ def cmd_verify_lemmas(args) -> int:
     report = {
         "suites": [
             {"name": name, "cases": cases,
-             "worst_margin": None if margin is None else float(margin),
+             "worst_margin": float(margin),
              "passed": bool(ok)}
             for name, cases, margin, ok in suites
         ],

@@ -413,14 +413,17 @@ def _strict_json(path):
         return json.load(fh, parse_constant=reject)
 
 
-def test_verify_lemmas_without_small_r_case_has_null_margin(tmp_path):
-    # seed 42 samples no small-R section: the suite checked nothing
+def test_verify_lemmas_small_r_suite_reports_a_margin(tmp_path):
+    # the suite draws small-R ellipses by construction, so it checks every
+    # case, at the CI seed too (random sections were never small-R there)
     out = tmp_path / "lemmas.json"
     assert main(["verify-lemmas", "--seed", "42", "--count", "5",
                  "--out", str(out)]) == 0
     suites = {s["name"]: s for s in _strict_json(out)["report"]["suites"]}
-    assert suites["small-R-nonnegative-delta"]["worst_margin"] is None
-    assert suites["small-R-nonnegative-delta"]["passed"]
+    small_r = suites["small-R-nonnegative-delta"]
+    assert small_r["worst_margin"] is not None
+    assert small_r["worst_margin"] >= -1e-10
+    assert small_r["cases"] == 5 and small_r["passed"]
 
 
 def test_non_finite_report_is_validation_error(tmp_path, capsys):
