@@ -205,15 +205,14 @@ def _nelder_mead(fun, simplex, bounds, maxfev: int, xatol: float,
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     sim = np.array(simplex, dtype=float)
     N = sim.shape[1]
-    if bounds is None:
-        def clip(x):
-            return x
-    else:
-        lo, hi = np.array(bounds, dtype=float).T
-        sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    # clipping a finite point to (-inf, inf) returns it bit for bit
+    lo, hi = ((-np.inf, np.inf) if bounds is None
+              else np.array(bounds, dtype=float).T)
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
 
-        def clip(x):
-            return np.clip(x, lo, hi)
+    def clip(x):
+        return np.clip(x, lo, hi)
+
     fsim = np.full(N + 1, np.inf)
     ncalls = 0
 
