@@ -142,8 +142,8 @@ class ResidualReport:
 
     dyn_residual_l2: float
     dyn_residual_max: float
-    # |integral of the pointwise defect|: how far lam is from the
-    # balancing value -<2H - We flow^2>_w, so 0 when lam is that value
+    # |integral of the pointwise defect| = perimeter * |lam - lam_bal|:
+    # how far lam is from the balancing value lam_bal = -<2H - We flow^2>_w
     identity_gap: float
     max_principle_violation: float
     lam: float

@@ -218,8 +218,6 @@ def test_bit_different_points_are_separate_solves(monkeypatch):
 # ---------------------------------------------------------------------------
 # the numpy Nelder-Mead against scipy's
 
-_SQRT2, _R0_MAX = np.sqrt(2.0), np.sqrt(8.0 / 3.0)
-
 
 def _rosenbrock(x):
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
@@ -241,7 +239,7 @@ _NM_CASES = {
     # the thick-disk search's shape: the starting vertex 1.68 lies past
     # R0 = sqrt(8/3) and is reflected inside; later reflections clip onto it
     "clipped-1d": (lambda x: float((x[0] - 2.0) ** 2), [[1.55], [1.68]],
-                   ((_SQRT2, _R0_MAX),), False),
+                   ThickDiskFamily.bounds, False),
     "rosenbrock-2d": (_rosenbrock, [[-1.2, 1.0], [-1.1, 1.0], [-1.2, 1.1]],
                       None, False),
     "rosenbrock-3d": (_rosenbrock, [[-1.0, 1.0, 0.5], [-0.9, 1.0, 0.5],
