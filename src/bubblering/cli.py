@@ -35,8 +35,7 @@ from .geometry import (QuadratureError, geometry_report, outer_radius_ratio,
                        normalize, surface_set_length, ellipse_inv_r2_integral)
 from .solver import SolverError, dynamic_residual, solve_dirichlet
 from .search import SEARCH_RESOLUTION, residual_minimize
-from .certify import (_universal_terms, explicit_bound, norbury_scaling_probe,
-                      verdict)
+from .certify import explicit_bound, norbury_scaling_probe, verdict
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -180,10 +179,10 @@ def _suite_rows(seed: int, count: int):
     violations = 0
     margin = np.inf
     for _ in range(count):
-        _, _, rep = _normalized(random_smooth_shape(rng))
+        scaled, _, rep = _normalized(random_smooth_shape(rng))
         R = rep.R
         h, dR = rep.height_h, rep.r_max - rep.r_min
-        b = _universal_terms(R, rep.delta)[0]
+        b = explicit_bound(rep, scaled).b_star
         checks = [
             2 * h - 2 * np.pi / (3 * R),
             surface_set_length(rep.boundary, b) - np.pi / (3 * R),

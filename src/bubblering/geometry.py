@@ -7,8 +7,10 @@ number and the normalization to area 2pi.
 
 The report's area integrals are reduced to boundary integrals by the
 divergence theorem (d/dr(-1/r) = 1/r^2, d/dr(r^2/2) = r), so one
-quadrature serves them all: spectral trapezoid on smooth curves, exact edge
-formulas on polygons.  `normalize` reads each kind's closed-form `area`.
+quadrature serves them all: the spectral trapezoid in s on the nodes of
+`boundary_nodes` (the solver's, graded toward the axis by the section's
+own alpha) on smooth curves, exact edge formulas on polygons.
+`normalize` reads each kind's closed-form `area`.
 
 On a smooth kind the crossing t_b where n_r = b (the end of S(b), and the
 top point h at b = 0) is found by a bracketed Newton iteration, and |S(b)|
@@ -226,9 +228,10 @@ def _smooth_report(bnd: SmoothBoundary, inv_r2: float,
 def geometry_report(shape: CrossSection) -> GeometryReport:
     """All scalar functionals of a cross-section.
 
-    Smooth kinds sample n = 2 * DEFAULT_RESOLUTION nodes, doubling (capped
-    at 8192) until delta agrees to 1e-9 relative with the n/2-node rule on
-    the even nodes of the same sample; each doubling sums only those two,
+    Smooth kinds sample n = 2 * DEFAULT_RESOLUTION nodes of
+    `boundary_nodes`, doubling (capped at 8192) until delta agrees to 1e-9
+    relative with the n/2-node rule on the even nodes of the same sample
+    (the grading does not depend on n); each doubling sums only those two,
     and the other functionals are taken once, on the sample kept.  Polygons
     are exact.  A non-finite field (a scale that over- or underflows), or a
     smallest sampled speed**3 below the smallest normal float, raises

@@ -8,22 +8,14 @@ with the ring kernel G.  The Dirichlet data is psi = W r^2/2 + gamma on the
 boundary, with the flux constant gamma an extra unknown fixed by the
 circulation normalization  int (1/r) dpsi/dn ds = -1  (beta = 1, a = 1).
 
-Discretization: nodes uniform in a parameter s, trapezoidal rule for the
-smooth kernel part, and the spectral quadrature of Martensen/Kussmaul type
-for the logarithmic part ln(4 sin^2((s - sigma)/2)); the normal derivative
-follows from the conormal jump relation of the single layer, with the
-principal value handled by the same splitting.
-
-The nodes are graded (Kress, Numer. Math. 58, 1990): the curve is evaluated
-at t(s) = s + alpha sin s, t the shape's own parameter, which clusters the
-nodes at t = pi, the innermost point of every smooth kind, refining there
-by 1/(1 - alpha).  Everything above works in s with the speed |dX/ds|, so
-the map costs no kernel work.  A section close to the axis has a boundary
-layer at t = pi that uniform nodes resolve only at large n; `_grading`
-picks alpha from r_min/a (a = sqrt(area / 2 pi)), 0 for sections far from
-the axis, and 0 where r_min exceeds the radius of curvature at the outer
-point t = 0, where the map thins the nodes.  It never depends on n, so a
-solve at n/2 has the nodes [::2] of one at n.
+Discretization: the nodes of `boundary_nodes`, uniform in a parameter s
+and graded toward the innermost point by the section's own rule (see
+`shapes`), the trapezoidal rule in s for the smooth kernel part, and the
+spectral quadrature of Martensen/Kussmaul type for the logarithmic part
+ln(4 sin^2((s - sigma)/2)); the normal derivative follows from the
+conormal jump relation of the single layer, with the principal value
+handled by the same splitting.  Everything works in s with the speed
+|dX/ds|, so the grading costs no kernel work.
 
 The boundary nodes are exactly z -> -z symmetric: node n - j is a copy of
 node j with z negated.  Every kernel factor that is symmetric in the point
@@ -47,7 +39,6 @@ and the solve is refused above MAX_CONDITION.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict, field, fields
 from functools import lru_cache
 
@@ -73,40 +64,6 @@ __all__ = [
 SOLVER_TOL = 1e-8
 MAX_CONDITION = 1e12
 _ORBIT_BLOCK = 12288   # orbit representatives per block, see below
-
-# The grading rule: alpha = 0.9 min(1, ln(0.12 / x) / ln(0.12 / 0.03)) for
-# 0 < x = r_min / a < 0.12, else 0.  Measured on area-2 pi disks, flow-speed
-# gap of n = 512 against n = 256 (uniform nodes, alpha = 0, in the first
-# column), and the best alpha of a scan in steps of 0.1:
-#     r_min/a   uniform   best alpha, gap     the rule's alpha
-#     0.0045    0.61      0.9,  1.4e-5        0.9
-#     0.008     6.6e-2    0.9,  2.3e-7        0.9
-#     0.0143    1.1e-2    0.9,  1.4e-9        0.9
-#     0.026     4.7e-4    0.8,  1.1e-12       0.9
-#     0.046     4.2e-6    0.7,  2.7e-13       0.62
-#     0.084     2.3e-9    0.4,  1.2e-13       0.23
-#     0.157     9.4e-14   0,    9.4e-14       0
-# Against an n = 2048 solve the rule is as accurate as uniform nodes or
-# more at each x above and n = 128, 256 and 512, down to that solve's own
-# floor of about 1e-11.  The cap keeps t(s) monotone and the condition
-# estimate at most 2.7e8 (at x = 0.0045).
-# The map thins the nodes at the outer point t = 0 by 1 + alpha.  That
-# costs nothing on disks, Fourier stars and tall ellipses, but a flat
-# ellipse's outer tip is as sharp as its inner one: with n/m = 0.03 (z
-# semi-axis over r semi-axis) and x = 0.03, alpha = 0.9 gives a flow-speed
-# error of 2.5e-4 at n = 256 (1.0e-6 uniform) and 6.3e-8 at n = 512
-# (1.6e-11).  So alpha = 0 where r_min exceeds the radius of curvature
-# rho(0) at t = 0.  On ellipses of n/m from 0.01 to 40 and x from 0.0007
-# to 0.11 (errors at n = 256 and 512 against n = 2048), every graded case
-# is at least as accurate as uniform nodes, to that solve's floor, save
-# one that neither resolves (n/m = 40, x = 0.003, n = 256: errors 19 and
-# 7.1).  The cut-off cases were worse or level graded, save some with
-# r_min / rho(0) from 1.1 to 3.1 that lose a little at n = 256 (n/m =
-# 0.07, x = 0.03: 1.5e-7, against 4.5e-9 graded) and at most 1.3e-10 at
-# n = 512.
-_GRADING_FROM = 0.12   # x at and above which alpha = 0
-_GRADING_FULL = 0.03   # x at and below which alpha = _GRADING_MAX
-_GRADING_MAX = 0.9
 
 
 class SolverError(RuntimeError):
@@ -370,24 +327,6 @@ def _first_kind_solve(mat: np.ndarray, rhs: np.ndarray):
     return lu_solve(lu, rhs, check_finite=False), cond
 
 
-def _grading(shape: CrossSection) -> float:
-    """alpha of the solver's nodes from x = r_min / a (see the rule above);
-    r_min is r at t = pi, where a convex z -> -z symmetric section meets
-    z = 0 on its inner side.  0 for an x that is not positive and finite
-    (an invalid shape, which `boundary_nodes` then refuses), and 0 where
-    r_min exceeds the radius of curvature at the outer point t = 0."""
-    r_min = shape.point(np.pi)[0]
-    with np.errstate(all="ignore"):
-        x = float(r_min / np.sqrt(shape.area / (2.0 * np.pi)))
-    if not 0.0 < x < _GRADING_FROM:
-        return 0.0
-    (dr, dz), (ddr, ddz) = shape.derivs(0.0)
-    if r_min * (dr * ddz - dz * ddr) > np.hypot(dr, dz) ** 3:
-        return 0.0
-    return _GRADING_MAX * min(1.0, math.log(_GRADING_FROM / x)
-                              / math.log(_GRADING_FROM / _GRADING_FULL))
-
-
 def _solve_affine(shape: CrossSection, resolution):
     """One LU, two right-hand sides: the circulation column (rhs[m] = -1)
     and the unit-W column (rhs[:m] = r^2/2).  Returns (bnd, cond, cols),
@@ -396,7 +335,7 @@ def _solve_affine(shape: CrossSection, resolution):
     if isinstance(shape, Polygon):
         raise SolverError("the stream solver needs a smooth boundary; "
                           "polygons carry no pointwise curvature")
-    bnd = boundary_nodes(shape, resolution, alpha=_grading(shape))
+    bnd = boundary_nodes(shape, resolution)
     n = bnd.n_nodes
     half = n // 2
     m = half + 1

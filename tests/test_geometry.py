@@ -355,7 +355,8 @@ def test_extents_are_the_checked_sample():
     # sample, at every resolution the report stops at
     rng = np.random.default_rng(17)
     cases = [random_smooth_shape(rng) for _ in range(30)]
-    cases += [Disk(R0=1.0, rho0=1.0 - eps) for eps in (1e-2, 2e-4, 2e-5)]
+    # near-axis disks the graded nodes resolve at 1024, 4096 and 8192
+    cases += [Disk(R0=1.0, rho0=1.0 - eps) for eps in (1e-2, 1e-6, 3e-7)]
     cases += [random_convex_polygon(rng) for _ in range(30)]
     resolutions = set()
     for shape in cases:
@@ -474,7 +475,7 @@ def test_report_of_a_tiny_disk_keeps_its_digits():
 
 @pytest.mark.parametrize("shape, resolution", [
     (Disk(R0=2.0, rho0=0.7), 1024),
-    (Disk(R0=1.0, rho0=1.0 - 2e-4), 4096),
+    (Disk(R0=1.0, rho0=1.0 - 1e-6), 4096),
     (Ellipse(R0=30.0, m=1.0, n=0.05), 1024),    # 20:1
     (FourierStar(R0=3.0, base=1.0, coeffs=(0.0, 0.05, -0.02)), 1024),
 ], ids=["disk", "near-axis-disk", "ellipse-20-1", "fourier-star"])
@@ -493,7 +494,7 @@ REPORT_FIELDS = {"area", "R", "a", "mu", "delta", "total_mean_curvature",
 
 @pytest.mark.parametrize("shape", [
     Disk(R0=2.0, rho0=0.7),
-    Disk(R0=1.0, rho0=1.0 - 2e-4),              # doubles to 4096 nodes
+    Disk(R0=1.0, rho0=1.0 - 1e-6),              # doubles to 4096 nodes
     Ellipse(R0=30.0, m=1.0, n=0.05),
     FourierStar(R0=3.0, base=1.0, coeffs=(0.0, 0.05, -0.02)),
     POLYGON,
@@ -540,13 +541,30 @@ def _two_sample_estimate(shape, n):
 def test_quad_error_equals_the_two_sample_estimate():
     rng = np.random.default_rng(12)
     cases = [random_smooth_shape(rng) for _ in range(50)]
-    cases += [Disk(R0=1.0, rho0=1.0 - eps) for eps in (2e-4, 1e-4, 2e-5)]
+    # graded nodes resolve these disks at 2048, 4096 and 8192
+    cases += [Disk(R0=1.0, rho0=1.0 - eps) for eps in (3e-6, 1e-6, 3e-7)]
     resolutions = set()
     for shape in cases:
         rep = geometry_report(shape)
         assert rep.quad_error == _two_sample_estimate(shape, rep.resolution)
         resolutions.add(rep.resolution)
     assert {1024, 4096, 8192} <= resolutions
+
+
+def test_report_accepts_1e_8_at_the_node_cap():
+    # at 8192 nodes an estimate in (1e-9, 1e-8] is accepted: 2.5e-9 on a
+    # disk 1.25e-7 R0 off the axis, whose delta is right to 1.4e-11 (the
+    # float closed form loses digits to R0^2 - rho0^2 here, so mpmath); at
+    # 1e-7 R0 the estimate is 2.2e-8 and the report is refused
+    rho0 = 1.0 - 1.25e-7
+    rep = geometry_report(Disk(R0=1.0, rho0=rho0))
+    assert rep.resolution == MAX_RESOLUTION
+    assert 1e-9 < rep.quad_error <= 1e-8
+    inv_r2 = 2.0 * mpmath.pi * (1 / mpmath.sqrt(1 - mpmath.mpf(rho0) ** 2)
+                                - 1)
+    assert abs(rep.delta + 2.0 * np.pi - inv_r2) <= 1e-10 * inv_r2
+    with pytest.raises(QuadratureError, match="2.2e-08 at 8192"):
+        geometry_report(Disk(R0=1.0, rho0=1.0 - 1e-7))
 
 
 def test_smooth_height_is_the_ellipse_semi_axis_exactly():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bubblering import solver
+from bubblering import shapes, solver
 from bubblering.certify import explicit_bound, universal_bound, verdict
 from bubblering.geometry import geometry_report
 from bubblering.kernel import (gradient_split, kernel_split, ring_kernel,
@@ -279,8 +279,8 @@ def _full_system_solve(bnd, W):
             "psi_trace": S @ phi, "gamma": sol[n]}
 
 
-# eps / R0 = 1e-2 at area 2 pi: rho0 = sqrt 2, R0 - rho0 = 1e-2 R0; the
-# solver grades its nodes (alpha = 0.9), the other fold shapes get alpha = 0
+# eps / R0 = 1e-2 at area 2 pi: rho0 = sqrt 2, R0 - rho0 = 1e-2 R0; its
+# nodes are graded (alpha = 0.9), the other fold shapes get alpha = 0
 _NEAR_AXIS = Disk(R0=np.sqrt(2.0) / (1.0 - 1e-2), rho0=np.sqrt(2.0))
 
 
@@ -326,7 +326,7 @@ def test_assembly_matches_per_pair_kernels(shape, n):
     # block; the reference evaluates the split kernels on every pair of
     # rows 0..n/2, with the same log quadrature, and folds column n - j
     # onto column j; on the solver's (graded) nodes
-    bnd = boundary_nodes(shape, n, alpha=solver._grading(shape))
+    bnd = boundary_nodes(shape, n)
     half = n // 2
     m = half + 1
     rows = np.arange(m)
@@ -433,6 +433,22 @@ def test_optimal_W_lam_matches_brute_force(shape, lam_positive):
     assert abs(exact - brute) <= 1e-10 * brute
 
 
+@pytest.mark.parametrize("we", [1e-4, 1e-6])
+def test_optimal_W_lam_floor_tends_to_its_zero_We_anchor(we):
+    # as We -> 0 the best defect tends to 2H less its weighted mean, a
+    # number no solve enters; the floor stays below it, by a relative
+    # 6.5e-7 at We = 1e-4 and 6.5e-9 at 1e-6 (8.4312589 on the delta = 0
+    # disk)
+    shape = Disk(R0=np.sqrt(8.0 / 3.0), rho0=np.sqrt(2.0))
+    sol, rep = solver.optimal_W_lam(shape, we, 128)
+    bnd = sol.boundary
+    two_h = 2.0 * (bnd.curvature + bnd.normal_r / bnd.r)
+    mean = np.sum(two_h * bnd.weights) / np.sum(bnd.weights)
+    anchor = np.sqrt(np.sum((two_h - mean) ** 2 * bnd.weights))
+    assert anchor == pytest.approx(8.4312589, abs=1e-7)
+    assert 0.0 <= anchor - rep.dyn_residual_l2 <= 1e-2 * we * anchor
+
+
 # ---------------------------------------------------------------------------
 # graded nodes near the axis
 
@@ -446,9 +462,8 @@ def test_manufactured_normal_derivative_near_the_axis(n, tol):
     # uniform nodes leave 4.1e-3 at n = 256 and 3.7e-4 at n = 512; the
     # solver's graded nodes 5.3e-8 and 1.5e-12
     src = (1.005, 0.0)
-    alpha = solver._grading(_AXIS_DISK)
-    assert alpha == 0.9
-    bnd = boundary_nodes(_AXIS_DISK, n, alpha=alpha)
+    bnd = boundary_nodes(_AXIS_DISK, n)
+    assert bnd.alpha == 0.9
     phi = np.linalg.solve(single_layer_matrix(bnd),
                           ring_kernel(src, (bnd.r, bnd.z)))
     dn = -bnd.r * phi / 2.0 + normal_derivative_matrix(bnd) @ phi
@@ -464,23 +479,17 @@ def test_grading_follows_r_min_over_a():
         return Disk(R0=np.sqrt(2.0) + x, rho0=np.sqrt(2.0))
 
     xs = [0.001, 0.029, 0.05, 0.084, 0.1199, 0.1201, 0.136, 1.0, 30.0]
-    alphas = [solver._grading(disk(x)) for x in xs]
+    alphas = [shapes._grading(disk(x)) for x in xs]
     assert alphas[:2] == [0.9, 0.9]
     assert alphas[5:] == [0.0] * 4
     assert all(a > b for a, b in zip(alphas[1:6], alphas[2:6]))
     for x in xs:
-        assert solver._grading(disk(x).scaled(1e3)) == pytest.approx(
-            solver._grading(disk(x)), abs=1e-14)
+        assert shapes._grading(disk(x).scaled(1e3)) == pytest.approx(
+            shapes._grading(disk(x)), abs=1e-14)
     star = FourierStar(R0=1.05, base=1.0, coeffs=(0.0, 0.02))
     x = (1.05 - 1.02) / np.sqrt(star.area / (2.0 * np.pi))
-    assert solver._grading(star) == pytest.approx(
+    assert shapes._grading(star) == pytest.approx(
         0.9 * np.log(0.12 / x) / np.log(4.0), rel=1e-14)
-
-
-@pytest.mark.parametrize("alpha", [-0.1, 1.0, np.nan])
-def test_grading_outside_the_monotone_range_is_refused(alpha):
-    with pytest.raises(ValueError, match="alpha"):
-        boundary_nodes(_AXIS_DISK, 64, alpha=alpha)
 
 
 def test_graded_nodes_are_shared_by_n_and_n_over_2():
@@ -529,9 +538,9 @@ def test_graded_ellipse_near_the_axis_beats_uniform_nodes(
     # r_min / a = 0.03 off the axis: the rule grades them fully, and the
     # graded gap is below the uniform one
     shape = _ellipse_off_the_axis(m, n, 0.03)
-    assert solver._grading(shape) == pytest.approx(0.9, abs=1e-12)
+    assert shapes._grading(shape) == pytest.approx(0.9, abs=1e-12)
     graded = _flow_gap(shape)
-    monkeypatch.setattr(solver, "_grading", lambda shape: 0.0)
+    monkeypatch.setattr(shapes, "_grading", lambda shape: 0.0)
     uniform = _flow_gap(shape)
     assert graded <= graded_max and uniform >= uniform_min
 
@@ -545,13 +554,13 @@ def test_sharp_outer_tip_stops_the_grading(monkeypatch):
     q = 0.03
     m, n = 1.0 / np.sqrt(q), np.sqrt(q)
     sharp, near = (_ellipse_off_the_axis(m, n, x) for x in (0.03, 0.005))
-    assert solver._grading(sharp) == 0.0
-    assert solver._grading(near) == 0.9
+    assert shapes._grading(sharp) == 0.0
+    assert shapes._grading(near) == 0.9
     assert _flow_gap(sharp) <= 2e-6
     assert _flow_gap(near) <= 5e-4
-    monkeypatch.setattr(solver, "_grading", lambda shape: 0.9)
+    monkeypatch.setattr(shapes, "_grading", lambda shape: 0.9)
     assert _flow_gap(sharp) >= 1e-4
-    monkeypatch.setattr(solver, "_grading", lambda shape: 0.0)
+    monkeypatch.setattr(shapes, "_grading", lambda shape: 0.0)
     assert _flow_gap(near) >= 2e-3
 
 
@@ -560,7 +569,8 @@ def test_graded_section_is_mirror_symmetric():
     # exactly, nodes 0 and n/2 sit at t = 0 and pi on z = 0, and the nodes
     # crowd at t = pi
     n = 128
-    bnd = boundary_nodes(_AXIS_DISK, n, alpha=0.9)
+    bnd = boundary_nodes(_AXIS_DISK, n)
+    assert bnd.alpha == 0.9
     for name in ("r", "speed", "normal_r", "curvature", "weights"):
         a = getattr(bnd, name)
         assert np.array_equal(a[1:], a[1:][::-1]), name
@@ -607,14 +617,18 @@ def test_ungraded_solve_samples_the_uniform_grid(shape):
         assert np.array_equal(getattr(bnd, name), getattr(uniform, name))
 
 
-def test_geometry_report_keeps_uniform_nodes():
-    # only the solver grades: the report of a near-axis section samples
-    # uniform nodes, and the solve of the same section graded ones
+def test_geometry_report_and_solve_share_the_grading():
+    # one node rule: the report of a near-axis section and its solve grade
+    # with the same alpha, so the solve's nodes are every k-th node of the
+    # report's, bit for bit
     rep = geometry_report(_AXIS_DISK)
-    assert rep.boundary.alpha == 0.0
-    n = rep.boundary.n_nodes
-    assert np.array_equal(rep.boundary.t, 2.0 * np.pi * np.arange(n) / n)
-    assert solve_dirichlet(_AXIS_DISK, 0.0, 64).boundary.alpha == 0.9
+    sol = solve_dirichlet(_AXIS_DISK, 0.0, 128)
+    assert rep.boundary.alpha == sol.alpha == 0.9
+    k = rep.resolution // 128
+    for name in ("t", "r", "z", "speed", "normal_r", "normal_z",
+                 "curvature"):
+        assert np.array_equal(getattr(rep.boundary, name)[::k],
+                              getattr(sol.boundary, name)), name
 
 
 # ---------------------------------------------------------------------------
