@@ -341,9 +341,9 @@ def normalize(shape: CrossSection, params: PhysicalParams | None):
 
 def ellipse_inv_r2_integral(R0: float, m: float, n: float) -> float:
     """int_E r^-2 dA over the ellipse (r-R0)^2/m^2 + z^2/n^2 <= 1."""
-    return 2.0 * np.pi * n / m * (R0 / np.sqrt(R0**2 - m**2) - 1.0)
+    return 2.0 * np.pi * n / m * (R0 / np.sqrt((R0 - m) * (R0 + m)) - 1.0)
 
 
 def disk_delta(R0: float, rho0: float) -> float:
     """delta of the disk of radius rho0 centered at (R0, 0)."""
-    return 2.0 * np.pi * (R0 / np.sqrt(R0**2 - rho0**2) - 2.0)
+    return 2.0 * np.pi * (R0 / np.sqrt((R0 - rho0) * (R0 + rho0)) - 2.0)

@@ -541,20 +541,36 @@ def random_smooth_shape(rng: np.random.Generator) -> CrossSection:
         return shape
 
 
+def _convex_hull(pts: np.ndarray) -> np.ndarray:
+    """Vertices of the convex hull of the points `pts` (k x 2), counter-
+    clockwise from the leftmost; points on an edge are not vertices
+    (Andrew's monotone chain, Inf. Process. Lett. 9, 1979)."""
+    ordered = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+
+    def turn(o, a, b):   # > 0 when o -> a -> b turns left
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(points):   # the lower chain; on reversed points, the upper
+        out = []
+        for q in points:
+            while len(out) >= 2 and turn(out[-2], out[-1], q) <= 0.0:
+                out.pop()
+            out.append(q)
+        return out[:-1]
+
+    return np.array(chain(ordered) + chain(ordered[::-1]))
+
+
 def random_convex_polygon(rng: np.random.Generator) -> Polygon:
     """Random convex polygon, symmetric under z -> -z, kept off the axis.
 
     Samples a z-symmetric point cloud, takes its convex hull, and shifts
     right until r_min exceeds a tenth of the length scale sqrt(area/2pi).
     """
-    from scipy.spatial import ConvexHull
-
     while True:
         upper = rng.uniform([-1.0, 0.0], [1.0, 1.0],
                             size=(_POLYGON_POINTS, 2))
-        pts = np.vstack([upper, upper * np.array([1.0, -1.0])])
-        hull = ConvexHull(pts)
-        v = pts[hull.vertices]  # CCW per scipy convention
+        v = _convex_hull(np.vstack([upper, upper * np.array([1.0, -1.0])]))
         area = Polygon(vertices=v).area
         if area < 1e-3:
             continue

@@ -286,25 +286,24 @@ def normal_derivative_matrix(bnd: SmoothBoundary) -> np.ndarray:
     return _unfolded(bnd)[1]
 
 
-def _inverse_norm1(lu, n: int) -> float:
-    """Estimate of ||M^-1||_1 from the LU factors of M in O(n^2).
+def _inverse_norm1(lu, n: int, getrs) -> float:
+    """Estimate of ||M^-1||_1 from the LU factors (lu, piv) of M in O(n^2);
+    `getrs` is LAPACK's dgetrs, which solves with them.
 
     Hager's method with Higham's refinements, the algorithm of LAPACK's
     dgecon.  It is written out here because dgecon's result changes in the
     last bits with the alignment of its internal work arrays, which differs
     from one process to the next; this keeps outputs byte-identical.
     """
-    from scipy.linalg import lu_solve
     x = np.full(n, 1.0 / n)
     est = 0.0
     for it in range(5):
-        y = lu_solve(lu, x, check_finite=False)
+        y = getrs(*lu, x)[0]
         y_norm = float(np.sum(np.abs(y)))
         if it and not y_norm > est:
             break
         est = y_norm
-        z = lu_solve(lu, np.where(y >= 0.0, 1.0, -1.0), trans=1,
-                     check_finite=False)
+        z = getrs(*lu, np.where(y >= 0.0, 1.0, -1.0), trans=1)[0]
         j = int(np.argmax(np.abs(z)))
         if it and not abs(z[j]) > z @ x:
             break
@@ -313,18 +312,24 @@ def _inverse_norm1(lu, n: int) -> float:
     # alternating test vector: guards against the estimator's blind spots
     i = np.arange(n)
     alt = np.where(i % 2, -1.0, 1.0) * (1.0 + i / max(n - 1, 1))
-    alt_norm = float(np.sum(np.abs(lu_solve(lu, alt, check_finite=False))))
+    alt_norm = float(np.sum(np.abs(getrs(*lu, alt)[0])))
     return max(est, 2.0 * alt_norm / (3.0 * n))
 
 
 def _first_kind_solve(mat: np.ndarray, rhs: np.ndarray):
-    """LU solve, gated on the 1-norm condition estimate of `mat`."""
-    from scipy.linalg import lu_factor, lu_solve   # loaded by the first solve
-    lu = lu_factor(mat, check_finite=False)
-    cond = np.linalg.norm(mat, 1) * _inverse_norm1(lu, mat.shape[0])
+    """LU solve, gated on the 1-norm condition estimate of `mat`.  The one
+    use of scipy in the package: LAPACK's dgetrf and dgetrs, loaded by the
+    first solve."""
+    from scipy.linalg.lapack import dgetrf, dgetrs
+    lu, piv, info = dgetrf(mat)
+    if info > 0:
+        raise SolverError("boundary system singular: "
+                          f"U[{info - 1}, {info - 1}] is exactly zero")
+    cond = np.linalg.norm(mat, 1) * _inverse_norm1((lu, piv), mat.shape[0],
+                                                   dgetrs)
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise SolverError(f"boundary system ill-conditioned: cond = {cond:.3g}")
-    return lu_solve(lu, rhs, check_finite=False), cond
+    return dgetrs(lu, piv, rhs)[0], cond
 
 
 def _solve_affine(shape: CrossSection, resolution):

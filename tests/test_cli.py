@@ -520,8 +520,8 @@ def test_norbury_table_csv(tmp_path):
 
 
 def test_numpy_only_commands_load_no_scipy(tmp_path):
-    # import bubblering, analyze, bound and norbury-table run on numpy
-    # alone: a fresh process that runs them never imports scipy
+    # import bubblering, analyze, bound, norbury-table and verify-lemmas run
+    # on numpy alone: a fresh process that runs them never imports scipy
     star = _write_shape(tmp_path, STAR, "star.json")
     square = _write_shape(tmp_path, SQUARE, "square.json")
     runs = {
@@ -529,6 +529,7 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
         "bound": ["bound", "--shape", star, "--we", "0.1"],
         "bound-polygon": ["bound", "--shape", square, "--we", "0.1"],
         "norbury-table": ["norbury-table"],
+        "verify-lemmas": ["verify-lemmas", "--seed", "42", "--count", "5"],
     }
     code = textwrap.dedent("""
         import json, sys

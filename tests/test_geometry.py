@@ -608,3 +608,19 @@ def test_near_axis_delta_blowup_scaling():
     # quadrature tracks the closed form even in the near-axis regime
     rep = geometry_report(Disk(R0=1.0, rho0=1.0 - 1e-4))
     assert_allclose(rep.delta, disk_delta(1.0, 1.0 - 1e-4), rtol=1e-8)
+
+
+@pytest.mark.parametrize("R0", [1.0, 1.7, 3.3])
+@pytest.mark.parametrize("eps_rel", [1e-4, 1e-6, 3e-7])
+def test_near_axis_closed_forms_against_mpmath(R0, eps_rel):
+    # R0^2 - rho0^2 cancels near the axis (a relative 3.3e-11 at 3e-7);
+    # the closed forms factor it, so they keep full precision
+    inner = R0 * (1.0 - eps_rel)
+    with mpmath.workdps(50):
+        R, rho, n = mpmath.mpf(R0), mpmath.mpf(inner), mpmath.mpf(0.7)
+        ratio = R / mpmath.sqrt(R**2 - rho**2)
+        want_delta = 2 * mpmath.pi * (ratio - 2)
+        want_ellipse = 2 * mpmath.pi * n / rho * (ratio - 1)
+    assert abs(disk_delta(R0, inner) / want_delta - 1) <= 1e-15
+    assert abs(ellipse_inv_r2_integral(R0, inner, 0.7) / want_ellipse
+               - 1) <= 1e-15

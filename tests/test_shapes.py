@@ -6,6 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bubblering.shapes import (
+    _POLYGON_POINTS,
+    _convex_hull,
     Disk,
     Ellipse,
     FourierStar,
@@ -224,6 +226,31 @@ def test_random_generators_produce_valid_shapes():
         pbnd = boundary_nodes(poly)
         assert np.all(pbnd.vertices[:, 0] > 0)
         assert np.all(pbnd.turning_angles > -1e-12)
+
+
+def test_convex_hull_against_qhull():
+    # the numpy hull of random_convex_polygon's clouds has qhull's vertex
+    # set; its vertices turn left and are closed under z -> -z
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(11)
+    for _ in range(1000):
+        upper = rng.uniform([-1.0, 0.0], [1.0, 1.0],
+                            size=(_POLYGON_POINTS, 2))
+        pts = np.vstack([upper, upper * np.array([1.0, -1.0])])
+        v = _convex_hull(pts)
+        assert sorted(map(tuple, v)) == sorted(
+            map(tuple, pts[ConvexHull(pts).vertices]))
+        edge = np.roll(v, -1, axis=0) - v
+        nxt = np.roll(edge, -1, axis=0)
+        assert np.all(edge[:, 0] * nxt[:, 1] - edge[:, 1] * nxt[:, 0] > 0.0)
+        assert set(map(tuple, v * [1.0, -1.0])) == set(map(tuple, v))
+
+
+def test_convex_hull_drops_points_on_an_edge():
+    square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    pts = np.array(square + [(0.5, 0.0), (1.0, 0.5), (0.5, 0.5), (0.0, 0.0)])
+    assert _convex_hull(pts).tolist() == [list(p) for p in square]
 
 
 def test_serialization_round_trip(tmp_path):

@@ -396,14 +396,47 @@ def test_inverse_norm_estimate_against_exact():
     # the estimate is a lower bound of ||M^-1||_1 attained up to a small
     # factor; 1-norm condition numbers of the test matrices span 6..7e7
     from scipy.linalg import lu_factor
+    from scipy.linalg.lapack import dgetrs
     rng = np.random.default_rng(7)
     for n in [2, 9, 66, 130]:
         for scale in [1e-6, 1.0, 1e3]:
             mat = rng.standard_normal((n, n))
             mat[:, 0] *= scale
             exact = np.max(np.sum(np.abs(np.linalg.inv(mat)), axis=0))
-            est = solver._inverse_norm1(lu_factor(mat), n)
+            est = solver._inverse_norm1(lu_factor(mat), n, dgetrs)
             assert exact / 3.0 <= est <= exact * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_first_kind_solve_equals_scipy_lu(monkeypatch, n):
+    # LAPACK's getrf/getrs called directly give lu_factor/lu_solve's
+    # solution and condition estimate bit for bit on a disk's bordered system
+    from scipy.linalg import lu_factor, lu_solve
+    first_kind_solve = solver._first_kind_solve
+    systems = []
+
+    def record(mat, rhs):
+        systems.append((mat.copy(), rhs.copy()))
+        return first_kind_solve(mat, rhs)
+
+    monkeypatch.setattr(solver, "_first_kind_solve", record)
+    solve_dirichlet(Disk(R0=1.6, rho0=1.0), 0.2, n)
+    (mat, rhs), = systems
+    sol, cond = first_kind_solve(mat, rhs)
+    lu = lu_factor(mat, check_finite=False)
+
+    def getrs(lu, piv, b, trans=0):
+        return lu_solve((lu, piv), b, trans=trans, check_finite=False), 0
+
+    assert np.array_equal(sol, lu_solve(lu, rhs, check_finite=False))
+    assert cond == np.linalg.norm(mat, 1) * solver._inverse_norm1(
+        lu, mat.shape[0], getrs)
+
+
+def test_singular_system_is_refused():
+    mat = np.ones((3, 3))
+    with pytest.raises(SolverError, match="singular"):
+        solver._first_kind_solve(mat, np.ones((3, 2)))
 
 
 @pytest.mark.parametrize("shape, lam_positive", [
