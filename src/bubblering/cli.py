@@ -19,10 +19,12 @@ configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -57,19 +59,37 @@ def _payload(args, report: dict, resolution) -> dict:
     }
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(args, payload: dict, log: str | None = None) -> None:
     # strict JSON: a NaN or infinity is a ValueError (exit 2) before any
     # file is opened
     _write(args, json.dumps(payload, indent=2, sort_keys=True,
-                            allow_nan=False) + "\n")
+                            allow_nan=False) + "\n", log)
 
 
-def _write(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+def _write(args, text: str, log: str | None = None) -> None:
+    """Write `text` to --out, or to stdout without it.  `log`, the search's
+    CSV log, goes to <out>.log.csv and is not written without --out.  Every
+    file is opened before any is written, and an OSError removes the files
+    this call opened, so a failure leaves no output file."""
+    if not args.out:
         sys.stdout.write(text)
+        return
+    files = {args.out: text}
+    if log is not None:
+        files[args.out + ".log.csv"] = log
+    handles = []
+    try:
+        with contextlib.ExitStack() as stack:
+            # newline="": the csv writer's \r\n line ends are kept as is
+            for path in files:
+                handles.append(stack.enter_context(
+                    open(path, "w", newline="")))
+            for fh, body in zip(handles, files.values()):
+                fh.write(body)
+    except OSError:
+        for fh in handles:
+            os.remove(fh.name)
+        raise
 
 
 def _load(args):
@@ -126,12 +146,12 @@ def cmd_search(args) -> int:
     res = residual_minimize(args.shape, we=args.we,
                             budget=args.budget, seed=args.seed,
                             resolution=args.resolution)
-    _emit(args, _payload(args, res.to_dict(), args.resolution))
-    if args.out:
-        with open(args.out + ".log.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=res.LOG_FIELDS)
-            writer.writeheader()
-            writer.writerows(res.log_rows())
+    log = io.StringIO()
+    writer = csv.DictWriter(log, fieldnames=res.LOG_FIELDS)
+    writer.writeheader()
+    writer.writerows(res.log_rows())
+    _emit(args, _payload(args, res.to_dict(), args.resolution),
+          log.getvalue())
     return EXIT_OK
 
 

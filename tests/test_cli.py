@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,17 @@ def _write_shape(tmp_path, payload, name="shape.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _fresh_python(code, *args):
+    """Run `code` with `args` in a new interpreter that imports bubblering
+    from this source tree; it must exit 0.  Returns the finished process."""
+    src = str(Path(bubblering.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
 
 
 ELLIPSE = {"kind": "ellipse", "params": {"R0": 3.0, "m": 2.0, "n": 1.0}}
@@ -226,6 +238,13 @@ def test_malformed_shape_type_is_validation_error(tmp_path, payload):
     {"kind": "polygon",
      "params": {"vertices": [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0],
                              [-1.0, 1.0]]}},
+    # finite parameters whose area overflows: analyze refuses the report,
+    # bound and solve the normalization
+    {"kind": "disk", "params": {"R0": 1e308, "rho0": 1e307}},
+    # the clockwise form of the smoke test's pentagon
+    {"kind": "polygon",
+     "params": {"vertices": [[1, 0.5], [2, 0.8], [2.5, 0], [2, -0.8],
+                             [1, -0.5]]}},
 ])
 @pytest.mark.parametrize("argv", [["analyze"], ["bound", "--we", "0.1"],
                                   ["solve", "--we", "1",
@@ -262,6 +281,10 @@ REFUSED = {
     "unknown-kind": ('{"kind": "triangle", "params": {}}',
                      "unknown shape kind 'triangle'"),
     "not-json": ("not json", "shape file is not valid JSON"),
+    "many-vertices": (json.dumps({"kind": "polygon", "params": {"vertices": [
+        [3 + math.cos(2 * math.pi * k / 8193),
+         math.sin(2 * math.pi * k / 8193)] for k in range(8193)]}}),
+        "polygon has 8193 vertices, more than 8192"),
 }
 
 
@@ -361,6 +384,17 @@ def test_search_family_prefix_is_optional(tmp_path):
         outs.append(_strict_json(out))
     del outs[0]["config"]["shape"], outs[1]["config"]["shape"]
     assert outs[0] == outs[1]
+
+
+def test_search_that_cannot_write_its_log_leaves_no_output(tmp_path,
+                                                           capsys):
+    # the JSON's name fits the file system's 255 bytes, its log's does not:
+    # both files are opened before either is written, so neither is left
+    out = tmp_path / ("x" * 250 + ".json")
+    assert main(["search", "--we", "0.5", "--budget", "2", "--resolution",
+                 "32", "--out", str(out)]) == 2
+    assert "File name too long" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_search_refuses_an_empty_shape(tmp_path, capsys):
@@ -465,22 +499,15 @@ def test_parser_built_once_keeps_defaults_per_call(tmp_path):
 def test_solve_output_independent_of_cached_tables(tmp_path):
     # the second in-process solve reuses the per-n log weights and pair
     # orbits; a fresh process builds them anew
-    import os
-    import subprocess
-    import sys
-
-    import bubblering
-
     shape = _write_shape(tmp_path, THICK_DISK)
     outs = [tmp_path / f"{name}.json" for name in "abc"]
     args = ["solve", "--shape", shape, "--we", "1.0", "--w", "0.1",
             "--resolution", "128", "--out"]
     assert main(args + [str(outs[0])]) == 0
     assert main(args + [str(outs[1])]) == 0
-    src = os.path.dirname(os.path.dirname(bubblering.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    subprocess.run([sys.executable, "-m", "bubblering.cli", *args,
-                    str(outs[2])], env=env, check=True)
+    _fresh_python("import sys, bubblering.cli; "
+                  "sys.exit(bubblering.cli.main(sys.argv[1:]))",
+                  *args, str(outs[2]))
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert outs[0].read_bytes() == outs[2].read_bytes()
 
@@ -549,13 +576,7 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     """)
     argvs = {name: argv + ["--out", str(tmp_path / f"{name}.out")]
              for name, argv in runs.items()}
-    src = str(Path(bubblering.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
-                          capture_output=True, text=True, env=env,
-                          timeout=120, check=True)
-    loaded = json.loads(proc.stdout)
+    loaded = json.loads(_fresh_python(code, json.dumps(argvs)).stdout)
     assert loaded == {name: [] for name in
                       ["import bubblering", "import bubblering.cli", *runs]}
 
@@ -571,13 +592,8 @@ def test_refused_search_loads_no_scipy(tmp_path):
         print(status, sorted(m for m in sys.modules
                              if m == "scipy" or m.startswith("scipy.")))
     """)
-    src = str(Path(bubblering.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "search", "--shape", "family:thick-disk",
-         "--we", "1", "--resolution", "65", "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120, check=True)
+    proc = _fresh_python(code, "search", "--shape", "family:thick-disk",
+                         "--we", "1", "--resolution", "65", "--out", str(out))
     assert proc.stdout == "2 []\n"
     assert proc.stderr == ("error: resolution must lie in [8, 8192] and be "
                            "even, got 65\n")
@@ -595,13 +611,93 @@ def test_search_loads_scipy_linalg_but_not_optimize(tmp_path):
                           sorted(m for m in sys.modules
                                  if m.startswith("scipy.optimize"))]))
     """)
-    src = str(Path(bubblering.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "search", "--shape", "family:thick-disk",
-         "--we", "0.5", "--budget", "10", "--resolution", "64",
-         "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120, check=True)
+    proc = _fresh_python(code, "search", "--shape", "family:thick-disk",
+                         "--we", "0.5", "--budget", "10", "--resolution",
+                         "64", "--out", str(out))
     assert json.loads(proc.stdout) == [0, True, []]
     assert json.loads(out.read_text())["report"]["n_solves"] >= 1
+
+
+# The CLI contract end to end: each command below, with its shape files in
+# one shared directory, writes the same bytes in any fresh interpreter and
+# in any order of commands.  "{}" in an argv is that directory.
+SMOKE_SHAPES = {
+    "disk": THICK_DISK,
+    "near-axis": {"kind": "disk",
+                  "params": {"R0": 1.7, "rho0": 1.7 * (1 - 10 ** -2.5)}},
+    "deep-axis": {"kind": "disk", "params": {"R0": 1, "rho0": 0.999999}},
+    "star": {"kind": "fourier-star",
+             "params": {"R0": 3, "base": 1, "coeffs": [0, 0.05, -0.02]}},
+    "flat": {"kind": "ellipse", "params": {"R0": 3, "m": 1, "n": 0.1}},
+    "poly": {"kind": "polygon",
+             "params": {"vertices": [[1, -0.5], [2, -0.8], [2.5, 0],
+                                     [2, 0.8], [1, 0.5]]}},
+    # a regular polygon with the most vertices a polygon may have
+    "max-poly": {"kind": "polygon", "params": {"vertices": [
+        [3 + math.cos(2 * math.pi * k / 8192),
+         math.sin(2 * math.pi * k / 8192)] for k in range(8192)]}},
+}
+_SEARCH = "--we 0.5 --budget 10 --resolution 64"
+SMOKE = {
+    "solve-128": "solve --shape {}/disk.json --we 1 --resolution 128",
+    "solve-512": "solve --shape {}/disk.json --we 1",
+    "near-axis-solve": "solve --shape {}/near-axis.json --we 1",
+    "near-axis-bound": "bound --shape {}/near-axis.json --we 0.1",
+    "near-axis-analyze": "analyze --shape {}/near-axis.json",
+    "deep-axis-analyze": "analyze --shape {}/deep-axis.json",
+    "bound": "bound --shape {}/disk.json --we 0.1",
+    "lemmas": "verify-lemmas --seed 42 --count 5",
+    "analyze": "analyze --shape {}/disk.json",
+    "star-bound": "bound --shape {}/star.json --we 0.1",
+    "flat-bound": "bound --shape {}/flat.json --we 0.1",
+    "star-analyze": "analyze --shape {}/star.json",
+    "poly-analyze": "analyze --shape {}/poly.json",
+    "poly-bound": "bound --shape {}/poly.json --we 0.1",
+    "max-poly-analyze": "analyze --shape {}/max-poly.json",
+    "max-poly-bound": "bound --shape {}/max-poly.json --we 0.1",
+    "search": f"search --shape family:thick-disk {_SEARCH}",
+    "bare-search": f"search --shape thick-disk {_SEARCH}",
+    "ellipse-search": f"search --shape family:ellipse {_SEARCH}",
+    "fourier-search": f"search --shape family:fourier {_SEARCH}",
+    "table": "norbury-table",
+}
+
+
+def test_smoke_matrix_byte_identical_across_processes(tmp_path):
+    # one interpreter runs the matrix forward and one in reverse, so no
+    # output may depend on a table an earlier command cached
+    shapes = tmp_path / "shapes"
+    shapes.mkdir()
+    for name, payload in SMOKE_SHAPES.items():
+        _write_shape(shapes, payload, f"{name}.json")
+    outs = {name: name + (".csv" if argv == "norbury-table" else ".json")
+            for name, argv in SMOKE.items()}
+    expected = {*outs.values(), *(outs[name] + ".log.csv"
+                                  for name, argv in SMOKE.items()
+                                  if argv.startswith("search"))}
+    assert len(expected) == 25
+    code = textwrap.dedent("""
+        import json, sys
+        import bubblering.cli
+        print(json.dumps({name: bubblering.cli.main(argv)
+                          for name, argv in json.loads(sys.argv[1])}))
+    """)
+    dirs = {}
+    for order in ("forward", "reverse"):
+        dirs[order] = tmp_path / order
+        dirs[order].mkdir()
+        runs = [(name, [a.format(shapes) for a in argv.split()]
+                 + ["--out", str(dirs[order] / outs[name])])
+                for name, argv in SMOKE.items()]
+        if order == "reverse":
+            runs.reverse()
+        status = json.loads(_fresh_python(code, json.dumps(runs)).stdout)
+        assert status == {name: 0 for name in SMOKE}
+        assert {p.name for p in dirs[order].iterdir()} == expected
+    for out in sorted(expected):
+        forward = (dirs["forward"] / out).read_bytes()
+        assert forward == (dirs["reverse"] / out).read_bytes(), out
+        if out.endswith(".json"):
+            _strict_json(dirs["forward"] / out)
+    solution = _strict_json(dirs["forward"] / "near-axis-solve.json")
+    assert solution["report"]["solution"]["alpha"] > 0
