@@ -52,6 +52,7 @@ from .search import (
 )
 from .certify import (
     BoundCertificate,
+    Terms,
     explicit_bound,
     norbury_scaling_probe,
     universal_bound,

@@ -11,14 +11,16 @@ sqrt(We) >= u + v  with
 
 where |S(b)| is the length of the boundary set with n.e_r > b, h the half
 height, and delta = int r^-2 dA - 2 pi.  Squaring via (u+v)^2 >= u^2 + v^2
-gives  We >= term_curvature + term_bernoulli.  Two variants are reported:
+gives  We >= term_curvature + term_bernoulli.  The certificate holds two
+variants, each one `Terms` record (term_curvature, term_bernoulli and
+their sum we_min) in its own field:
 
-* universal: only R and delta enter; the shape-dependent quantities are
+* `universal`: only R and delta enter; the shape-dependent quantities are
   replaced by their worst-case bounds (r_max <= 3R, |S(b*)| >= pi/(3R),
   Delta R <= 3R, pi <= h Delta R), giving
       term_curvature = 2 b* pi^2 / (27 R^3)
       term_bernoulli = 4 pi^2 delta_+ / (3R (4 pi + 18 R^2))
-* measured: r_max, h and Delta R = r_max - r_min taken from the geometry
+* `measured`: r_max, h and Delta R = r_max - r_min taken from the geometry
   report, and |S(b*)| measured on the report's checked boundary, giving
   the sharper u^2 = 2 b* S(b*)^2 / r_max  and
   v^2 = 4 delta_+ h^2 / (4h + 2 Delta R).
@@ -39,6 +41,7 @@ from .shapes import CrossSection, Disk
 
 __all__ = [
     "BoundCertificate",
+    "Terms",
     "explicit_bound",
     "universal_bound",
     "verdict",
@@ -54,44 +57,30 @@ _BRANCH_SPLIT = np.sqrt(np.pi) / 6.0  # b* switches at R = sqrt(pi)/6
 
 
 @dataclass(frozen=True)
+class Terms:
+    """One variant of the bound: We >= term_curvature + term_bernoulli."""
+
+    term_curvature: float           # u^2
+    term_bernoulli: float           # v^2
+    we_min: float                   # the sum of the two terms
+
+
+@dataclass(frozen=True)
 class BoundCertificate:
     """Explicit lower bound for the Weber number of a thick ring."""
 
     mu: float
+    mu_area_convention: float       # mu in the R/sqrt(|E|) convention
     delta: float
+    is_thick: bool                  # the report's: verdict reads it
     branch: str                     # "large-R" (R > sqrt(pi)/6) or "small-R"
     b_star: float
-    term_curvature: float           # universal curvature term u^2
-    term_bernoulli: float           # universal delta term v^2
-    we_min: float                   # universal bound: sum of the two terms
-    term_curvature_measured: float
-    term_bernoulli_measured: float
-    we_min_measured: float
-    mu_area_convention: float       # mu in the R/sqrt(|E|) convention
+    universal: Terms
+    measured: Terms
 
     @property
     def best(self) -> float:
-        return max(self.we_min, self.we_min_measured)
-
-    def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "mu_area_convention": self.mu_area_convention,
-            "delta": self.delta,
-            "branch": self.branch,
-            "b_star": self.b_star,
-            "universal": {
-                "term_curvature": self.term_curvature,
-                "term_bernoulli": self.term_bernoulli,
-                "we_min": self.we_min,
-            },
-            "measured": {
-                "term_curvature": self.term_curvature_measured,
-                "term_bernoulli": self.term_bernoulli_measured,
-                "we_min": self.we_min_measured,
-            },
-            "we_min_best": self.best,
-        }
+        return max(self.universal.we_min, self.measured.we_min)
 
 
 def _universal_terms(R: float, delta: float) -> tuple[float, str, float, float]:
@@ -136,28 +125,24 @@ def explicit_bound(report: GeometryReport,
     dR = (report.r_max - report.r_min) / report.a
     u2m = 2.0 * b * s_b**2 / r_max
     v2m = 4.0 * max(delta, 0.0) * h**2 / (4.0 * h + 2.0 * dR)
-    wem = u2m + v2m
 
     return BoundCertificate(
         mu=R,
+        mu_area_convention=R / np.sqrt(2.0 * np.pi),
         delta=delta,
+        is_thick=report.is_thick,
         branch=branch,
         b_star=b,
-        term_curvature=u2,
-        term_bernoulli=v2,
-        we_min=u2 + v2,
-        term_curvature_measured=u2m,
-        term_bernoulli_measured=v2m,
-        we_min_measured=wem,
-        mu_area_convention=R / np.sqrt(2.0 * np.pi),
+        universal=Terms(u2, v2, u2 + v2),
+        measured=Terms(u2m, v2m, u2m + v2m),
     )
 
 
-def verdict(cert: BoundCertificate, we: float, is_thick: bool) -> str:
+def verdict(cert: BoundCertificate, we: float) -> str:
     """RuledOut iff the shape is thick and we falls below the certificate."""
     if not 0 < we < np.inf:
         raise ValueError("Weber number must be finite and positive")
-    if is_thick and we < cert.best:
+    if cert.is_thick and we < cert.best:
         return RULED_OUT
     return NOT_RULED_OUT
 

@@ -13,7 +13,8 @@ Each subcommand takes only the flags it reads, plus --out; any other flag
 is a usage error.  Exit codes: 0 success, 2 validation or usage error,
 3 solver failure.  Every output embeds the invoking config (exactly the
 flags the command read), seed, resolution and library version; identical
-configs produce byte-identical files.
+configs produce byte-identical files.  Every JSON block is one record's
+fields, written by `_render`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -30,9 +32,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .shapes import (DEFAULT_RESOLUTION, Ellipse, InvalidShapeError,
-                     boundary_nodes, load_shape, random_convex_polygon,
-                     random_smooth_shape)
+from .shapes import (DEFAULT_RESOLUTION, CrossSection, Ellipse,
+                     InvalidShapeError, boundary_nodes, load_shape,
+                     random_convex_polygon, random_smooth_shape,
+                     shape_to_dict)
 from .geometry import (QuadratureError, geometry_report, outer_radius_ratio,
                        normalize, surface_set_length, ellipse_inv_r2_integral)
 from .solver import SolverError, dynamic_residual, solve_dirichlet
@@ -44,6 +47,22 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
 _UNITS = "normalized, a=1, beta=1"
+
+
+def _render(value):
+    """The JSON form of a result: a section is its shape file, a record the
+    dict of its compared fields (those it is equal by), an array or tuple a
+    list, and a numpy scalar a Python one; each rendered in turn."""
+    if isinstance(value, CrossSection):
+        return shape_to_dict(value)
+    if dataclasses.is_dataclass(value):
+        return {f.name: _render(getattr(value, f.name))
+                for f in dataclasses.fields(value) if f.compare}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_render(v) for v in value]
+    return value
 
 
 def _payload(args, report: dict, resolution) -> dict:
@@ -106,7 +125,7 @@ def _normalized(shape):
 def cmd_analyze(args) -> int:
     shape = _load(args)
     rep = geometry_report(shape)
-    _emit(args, _payload(args, rep.to_dict(), rep.resolution))
+    _emit(args, _payload(args, _render(rep), rep.resolution))
     return EXIT_OK
 
 
@@ -117,12 +136,12 @@ def cmd_bound(args) -> int:
     # parameters alone moves delta by up to 3e-10 on eps/R0 = 1e-4 disks
     scaled, a, rep = _normalized(shape)
     cert = explicit_bound(rep, shape=scaled)
-    out = cert.to_dict()
+    out = _render(cert)
+    out["we_min_best"] = cert.best
     out["scale_factor_a"] = a
-    out["is_thick"] = rep.is_thick
     if args.we is not None:
         out["we"] = args.we
-        out["verdict"] = verdict(cert, args.we, rep.is_thick)
+        out["verdict"] = verdict(cert, args.we)
     _emit(args, _payload(args, out, rep.resolution))
     return EXIT_OK
 
@@ -135,7 +154,7 @@ def cmd_solve(args) -> int:
     scaled, _, _ = _normalized(shape)
     sol = solve_dirichlet(scaled, args.w, args.resolution)
     rep = dynamic_residual(scaled, sol, args.we, args.lam)
-    out = {"solution": sol.to_dict(), "residual": rep.to_dict()}
+    out = {"solution": _render(sol), "residual": _render(rep)}
     _emit(args, _payload(args, out, sol.resolution))
     return EXIT_OK
 
@@ -150,8 +169,11 @@ def cmd_search(args) -> int:
     writer = csv.DictWriter(log, fieldnames=res.LOG_FIELDS)
     writer.writeheader()
     writer.writerows(res.log_rows())
-    _emit(args, _payload(args, res.to_dict(), args.resolution),
-          log.getvalue())
+    out = _render(res)
+    if res.best_report is not None:
+        # identity_gap is roundoff at optimal_W_lam's lam
+        del out["best_report"]["identity_gap"]
+    _emit(args, _payload(args, out, args.resolution), log.getvalue())
     return EXIT_OK
 
 
@@ -268,6 +290,13 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_float(text: str) -> float:
+    if not 0 < (value := float(text)) < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"not a finite positive number: {text}")
+    return value
+
+
 def positive_int(text: str) -> int:
     if (value := int(text)) < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text}")
@@ -278,7 +307,7 @@ def positive_int(text: str) -> int:
 # build_parser, and --out is common to all
 _FLAGS = {
     "--shape": dict(help="shape JSON file (search: [family:]<name>)"),
-    "--we": dict(type=finite_float, help="Weber number"),
+    "--we": dict(type=positive_float, help="Weber number"),
     "--seed": dict(type=int, default=0),
     "--budget": dict(type=int, default=200),
     "--resolution": dict(type=int, help="boundary nodes n of each solve"),

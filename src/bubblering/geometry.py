@@ -84,10 +84,6 @@ class GeometryReport:
     boundary: SmoothBoundary | PolygonBoundary = field(repr=False,
                                                        compare=False)
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name)
-                for f in fields(self) if f.compare}
-
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -164,9 +160,9 @@ def _report(bnd: SmoothBoundary | PolygonBoundary, resolution: int,
         total_mean_curvature=total_mean_curvature, r_max=r_max, r_min=r_min,
         height_h=height_h, perimeter=perimeter, is_thick=bool(delta >= -1e-12),
         quad_error=quad_error, resolution=resolution, boundary=bnd)
-    for name, value in rep.to_dict().items():
-        if not np.isfinite(value):
-            raise InvalidShapeError(f"report field {name} is {value}: "
+    for f in fields(rep):
+        if f.compare and not np.isfinite(value := getattr(rep, f.name)):
+            raise InvalidShapeError(f"report field {f.name} is {value}: "
                                     "the shape's scale over- or underflows")
     return rep
 

@@ -28,13 +28,13 @@ the installed scipy's version.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import normalize
 from .shapes import (CrossSection, Disk, Ellipse, FourierStar,
-                     InvalidShapeError, node_count, shape_to_dict)
+                     InvalidShapeError, node_count)
 from .solver import ResidualReport, SolverError, optimal_W_lam
 
 __all__ = [
@@ -127,6 +127,9 @@ def family_from_name(name: str) -> ShapeFamily:
 
 @dataclass
 class SearchResult:
+    """One search's outcome; `log`, the evaluation log's rows, is neither
+    compared nor part of the JSON."""
+
     family: str
     we: float
     seed: int
@@ -140,24 +143,10 @@ class SearchResult:
     best_report: ResidualReport | None
     n_evaluations: int
     n_solves: int
-    log: list = field(default_factory=list)
+    log: list = field(default_factory=list, compare=False)
 
     LOG_FIELDS = ("eval", "params", "W", "lam", "dyn_residual_l2",
                   "dyn_residual_max", "penalized")
-
-    def to_dict(self) -> dict:
-        """Every field but the log; `best_shape` as a shape file, and only
-        when there is one.  `best_report` leaves out `identity_gap`, which
-        is roundoff at `optimal_W_lam`'s lam."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("best_shape", "log")}
-        out["best_params"] = list(self.best_params)
-        if self.best_report is not None:
-            out["best_report"] = self.best_report.to_dict()
-            del out["best_report"]["identity_gap"]
-        if self.best_shape is not None:
-            out["best_shape"] = shape_to_dict(self.best_shape)
-        return out
 
     def log_rows(self):
         """Rows for the CSV evaluation log."""

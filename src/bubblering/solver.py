@@ -39,7 +39,7 @@ and the solve is refused above MAX_CONDITION.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -86,11 +86,6 @@ class BoundarySolution:
     resolution: int
     alpha: float             # node grading t = s + alpha sin s of the solve
 
-    def to_dict(self) -> dict:
-        """Every field but the boundary; arrays as lists."""
-        return {f.name: np.asarray(getattr(self, f.name)).tolist()
-                for f in fields(self) if f.compare}
-
 
 @dataclass
 class ResidualReport:
@@ -105,9 +100,6 @@ class ResidualReport:
     max_principle_violation: float
     lam: float
     we: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @lru_cache(maxsize=8)
@@ -411,12 +403,12 @@ def evaluate_stream(density, bnd: SmoothBoundary, points):
     return out if out.size > 1 else float(out[0])
 
 
-def _check_defect(norms, we: float) -> None:
-    """ValueError unless the defect's squared norms, which overflow at a
-    huge We, are finite."""
+def _check_defect(norms, culprit: str) -> None:
+    """ValueError unless the defect's squared norms, which overflow when an
+    input is huge, are finite; the message blames `culprit`."""
     if not np.all(np.isfinite(norms)):
-        raise ValueError(f"Weber number {we:g} is too large: the dynamic "
-                         "defect is not finite")
+        raise ValueError(f"{culprit} too large: the dynamic defect is not "
+                         "finite")
 
 
 def dynamic_residual(shape: CrossSection, sol: BoundarySolution,
@@ -427,8 +419,8 @@ def dynamic_residual(shape: CrossSection, sol: BoundarySolution,
     boundary integral (how far `lam` is from the value that balances the
     defect on average), and the integrated violation of the sign condition
     dPsi/dn <= 0 for the co-moving stream function, all on the solution's
-    boundary.  `shape` must be `sol.boundary.shape`, and We small enough
-    that the defect's norm is finite, else ValueError.
+    boundary.  `shape` must be `sol.boundary.shape`, and We, W and lam
+    small enough that the defect's norm is finite, else ValueError.
     """
     if not 0 < we < np.inf:
         raise ValueError("Weber number must be finite and positive")
@@ -443,7 +435,7 @@ def dynamic_residual(shape: CrossSection, sol: BoundarySolution,
     with np.errstate(over="ignore", invalid="ignore"):
         defect = 2.0 * H + lam - we * flow**2
         l2 = float(np.sqrt(np.sum(defect**2 * w)))
-    _check_defect(l2, we)
+    _check_defect(l2, f"We = {we:g}, W = {sol.W:g} or lam = {lam:g} is")
     mx = float(np.max(np.abs(defect)))
     gap = float(abs(np.sum(defect * w)))
     dn_Psi = sol.dn_psi - sol.W * bnd.r * bnd.normal_r
@@ -491,7 +483,7 @@ def optimal_W_lam(shape: CrossSection, we: float,
                       - we * a**2, -2.0 * we * a * b, -we * b**2])
         mean = g @ w / np.sum(w)
         quartics = sq_norm(g), sq_norm(g - mean[:, None])   # lam = 0, > 0
-    _check_defect(quartics, we)
+    _check_defect(quartics, f"Weber number {we:g} is")
     cands = np.concatenate([P.polyroots(P.polyder(q)) for q in quartics]
                            + [P.polyroots(mean)]).real
     G = g[0] + np.outer(cands, g[1]) + np.outer(cands**2, g[2])

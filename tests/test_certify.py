@@ -1,3 +1,6 @@
+import dataclasses
+import operator
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -79,10 +82,11 @@ def test_certificate_is_scale_invariant(shape, factor):
     ref = explicit_bound(geometry_report(unit), unit)
     scaled = unit.scaled(factor)
     cert = explicit_bound(geometry_report(scaled), scaled)
-    for name in ("mu", "delta", "we_min", "we_min_measured",
-                 "term_curvature_measured", "term_bernoulli_measured",
+    for name in ("mu", "delta", "universal.we_min", "measured.we_min",
+                 "measured.term_curvature", "measured.term_bernoulli",
                  "best"):
-        assert_allclose(getattr(cert, name), getattr(ref, name),
+        assert_allclose(operator.attrgetter(name)(cert),
+                        operator.attrgetter(name)(ref),
                         rtol=1e-12, err_msg=name)
 
 
@@ -95,20 +99,21 @@ def test_certificate_is_scale_invariant(shape, factor):
 def test_certificate_terms_and_measured_variant(shape):
     rep = geometry_report(shape)
     cert = explicit_bound(rep, shape=shape)
-    assert_allclose(cert.we_min, cert.term_curvature + cert.term_bernoulli,
-                    rtol=1e-15)
+    assert_allclose(cert.universal.we_min,
+                    cert.universal.term_curvature
+                    + cert.universal.term_bernoulli, rtol=1e-15)
     assert cert.branch == "large-R"
-    assert cert.we_min_measured is not None
+    assert cert.measured.we_min is not None
     # measured terms reproduce their defining formulas
     b = cert.b_star
     s_b = surface_set_length(boundary_nodes(shape), b)
     h, dR = width_height(shape)
-    assert_allclose(cert.term_curvature_measured,
+    assert_allclose(cert.measured.term_curvature,
                     2 * b * s_b**2 / rep.r_max, rtol=1e-12)
-    assert_allclose(cert.term_bernoulli_measured,
+    assert_allclose(cert.measured.term_bernoulli,
                     4 * max(rep.delta, 0.0) * h**2 / (4 * h + 2 * dR),
                     rtol=1e-12)
-    assert cert.best >= cert.we_min
+    assert cert.best >= cert.universal.we_min
 
 
 @pytest.mark.parametrize("shape, other", [
@@ -174,20 +179,21 @@ def test_verdict_logic():
     shape = Disk(R0=1.55, rho0=np.sqrt(2.0))
     rep = geometry_report(shape)
     cert = explicit_bound(rep, shape=shape)
-    assert rep.is_thick
-    assert verdict(cert, cert.best / 2, rep.is_thick) == RULED_OUT
-    assert verdict(cert, 2 * cert.best, rep.is_thick) == NOT_RULED_OUT
+    assert rep.is_thick and cert.is_thick
+    assert verdict(cert, cert.best / 2) == RULED_OUT
+    assert verdict(cert, 2 * cert.best) == NOT_RULED_OUT
     # thin shapes never ruled out
-    assert verdict(cert, cert.best / 2, False) == NOT_RULED_OUT
+    thin = dataclasses.replace(cert, is_thick=False)
+    assert verdict(thin, cert.best / 2) == NOT_RULED_OUT
     with pytest.raises(ValueError):
-        verdict(cert, -1.0, True)
+        verdict(cert, -1.0)
 
 
 def test_verdict_monotone_in_we():
     shape = Disk(R0=1.55, rho0=np.sqrt(2.0))
     cert = explicit_bound(geometry_report(shape), shape=shape)
     wes = np.linspace(cert.best * 2.0, cert.best * 1e-3, 50)
-    flags = [verdict(cert, we, True) == RULED_OUT for we in wes]
+    flags = [verdict(cert, we) == RULED_OUT for we in wes]
     # once ruled out, stays ruled out as we decreases
     first = flags.index(True)
     assert all(flags[first:])

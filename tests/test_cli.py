@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -41,6 +42,12 @@ STAR = {"kind": "fourier-star",
 SQUARE = {"kind": "polygon",
           "params": {"vertices": [[1.0, -0.5], [2.0, -0.5], [2.0, 0.5],
                                   [1.0, 0.5]]}}
+
+
+def test_version_is_the_distribution_version():
+    # pyproject.toml read with a regex: Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "(.*)"$', text, re.M) == [__version__]
 
 
 def test_analyze_reference_ellipse(tmp_path):
@@ -85,11 +92,18 @@ def test_unread_flag_is_rejected(tmp_path, argv):
     ["bound", "--shape", "{shape}", "--we", "inf"],
     ["search", "--shape", "family:thick-disk", "--we", "inf"],
     ["verify-lemmas", "--count", "0"],
+    ["solve", "--shape", "{shape}", "--we", "-1"],
+    ["solve", "--shape", "{shape}", "--we", "0"],
+    ["bound", "--shape", "{shape}", "--we", "0"],
+    ["search", "--shape", "family:thick-disk", "--we", "-0.5"],
 ], ids=["solve-we-nan", "solve-we-inf", "solve-lam-nan", "solve-w-nan",
-        "bound-we-nan", "bound-we-inf", "search-we-inf", "lemmas-count-0"])
+        "bound-we-nan", "bound-we-inf", "search-we-inf", "lemmas-count-0",
+        "solve-we-negative", "solve-we-0", "bound-we-0",
+        "search-we-negative"])
 def test_non_finite_number_or_empty_count_is_rejected(tmp_path, argv):
-    # a NaN or infinite Weber number, speed or multiplier, and a suite of
-    # zero cases, are usage errors: exit 2 before any output is opened
+    # a NaN or infinite Weber number, speed or multiplier, a Weber number
+    # <= 0, and a suite of zero cases, are usage errors: exit 2 before any
+    # output is opened, and before any shape is read or solved
     shape = _write_shape(tmp_path, THICK_DISK)
     out = tmp_path / "a.json"
     with pytest.raises(SystemExit) as exc:

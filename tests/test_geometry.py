@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import tracemalloc
 
 import mpmath
@@ -20,6 +22,8 @@ from bubblering.geometry import (
     width_height,
 )
 from bubblering import shapes
+from bubblering.certify import BoundCertificate, Terms
+from bubblering.cli import _render, main
 from bubblering.search import residual_minimize
 from bubblering.shapes import (
     Disk,
@@ -505,27 +509,43 @@ def test_report_keeps_its_checked_boundary(shape):
     if not isinstance(shape, Polygon):
         assert rep.boundary.n_nodes == rep.resolution
     # the boundary is neither serialized nor compared
-    assert set(rep.to_dict()) == REPORT_FIELDS
+    assert set(_render(rep)) == REPORT_FIELDS
     assert geometry_report(shape) == rep
     assert "boundary" not in repr(rep)
 
 
-def test_solution_and_search_keys():
+def test_solution_and_search_keys(tmp_path):
     # the solve JSON's `solution` block and the search `report`: their
     # dataclass fields, less the boundary (solve) and the log (search)
     sol = solve_dirichlet(Disk(R0=2.0, rho0=0.7), 0.0, 64)
-    assert set(sol.to_dict()) == {
+    assert set(_render(sol)) == {
         "density", "psi_trace", "dn_psi", "W", "gamma", "circulation",
         "condition_number", "resolution", "alpha"}
     assert "boundary" not in repr(sol)
     res = residual_minimize("thick-disk", we=0.5, budget=3, resolution=32)
-    assert set(res.to_dict()) == {
+    assert set(_render(res)) == {
         "family", "we", "seed", "budget", "resolution", "best_params",
         "best_W", "best_lam", "best_residual", "best_report",
         "n_evaluations", "n_solves", "best_shape"}
-    assert res.to_dict()["best_shape"] == {
+    assert _render(res)["best_shape"] == {
         "kind": "disk", "params": {"R0": res.best_params[0],
                                    "rho0": float(np.sqrt(2.0))}}
+    # the bound JSON's `report`: the certificate's fields, each variant a
+    # block of its Terms fields, plus the four keys `bound` adds
+    cert_fields = {f.name for f in dataclasses.fields(BoundCertificate)}
+    assert cert_fields == {"mu", "mu_area_convention", "delta", "is_thick",
+                           "branch", "b_star", "universal", "measured"}
+    shape, out = tmp_path / "disk.json", tmp_path / "bound.json"
+    shape.write_text(json.dumps({"kind": "disk",
+                                 "params": {"R0": 2.0, "rho0": 0.7}}))
+    assert main(["bound", "--shape", str(shape), "--we", "0.1",
+                 "--out", str(out)]) == 0
+    block = json.loads(out.read_text())["report"]
+    assert set(block) == cert_fields | {"we_min_best", "scale_factor_a",
+                                        "we", "verdict"}
+    terms = {f.name for f in dataclasses.fields(Terms)}
+    assert set(block["universal"]) == set(block["measured"]) == terms == {
+        "term_curvature", "term_bernoulli", "we_min"}
 
 
 def _two_sample_estimate(shape, n):

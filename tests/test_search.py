@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bubblering import search
+from bubblering.cli import _render
 from bubblering.search import (
     EllipseFamily,
     FourierFamily,
@@ -157,7 +158,7 @@ def test_each_distinct_point_is_solved_once(monkeypatch):
                             resolution=128)
     distinct = {row["params"] for row in res.log}
     assert len(calls) == res.n_solves == len(distinct) < res.n_evaluations
-    assert res.to_dict()["n_solves"] == res.n_solves
+    assert _render(res)["n_solves"] == res.n_solves
     # a repeat is its first row again, with its own eval number
     first = {}
     for row in res.log:

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from bubblering import shapes, solver
 from bubblering.certify import explicit_bound, universal_bound, verdict
+from bubblering.cli import _render
 from bubblering.geometry import geometry_report
 from bubblering.kernel import (gradient_split, kernel_split, ring_kernel,
                                ring_kernel_gradient)
@@ -232,21 +233,30 @@ def test_residual_requires_positive_we():
         dynamic_residual(SHAPE, sol, we=-1.0, lam=0.0)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: dynamic_residual(SHAPE, solve_dirichlet(SHAPE, 0.0, 64),
-                             we=1e300, lam=0.0),
-    lambda: solver.optimal_W_lam(SHAPE, 1e300, 64),
-], ids=["dynamic_residual", "optimal_W_lam"])
-def test_we_with_overflowing_defect_is_rejected(call):
-    # We * flow^2 is finite but its square is not: a ValueError naming We,
-    # and no RuntimeWarning (pytest turns those into errors)
-    with pytest.raises(ValueError, match=r"Weber number 1e\+300 is too large"):
+@pytest.mark.parametrize("call, match", [
+    (lambda: dynamic_residual(SHAPE, solve_dirichlet(SHAPE, 0.0, 64),
+                              we=1e300, lam=0.0),
+     r"We = 1e\+300, W = 0 or lam = 0 is too large: the dynamic defect"),
+    (lambda: dynamic_residual(SHAPE, solve_dirichlet(SHAPE, 0.0, 64),
+                              we=1.0, lam=1e300),
+     r"We = 1, W = 0 or lam = 1e\+300 is too large: the dynamic defect"),
+    (lambda: dynamic_residual(SHAPE, solve_dirichlet(SHAPE, 1e300, 64),
+                              we=1.0, lam=0.0),
+     r"We = 1, W = 1e\+300 or lam = 0 is too large: the dynamic defect"),
+    (lambda: solver.optimal_W_lam(SHAPE, 1e300, 64),
+     r"Weber number 1e\+300 is too large"),
+], ids=["dynamic_residual", "dynamic_residual-lam", "dynamic_residual-W",
+        "optimal_W_lam"])
+def test_we_with_overflowing_defect_is_rejected(call, match):
+    # the flow term is finite but the defect's square is not: a ValueError
+    # naming the inputs, and no RuntimeWarning (pytest turns those into
+    # errors)
+    with pytest.raises(ValueError, match=match):
         call()
 
 
 @pytest.mark.parametrize("call", [
-    lambda: verdict(explicit_bound(geometry_report(SHAPE), SHAPE), np.nan,
-                    True),
+    lambda: verdict(explicit_bound(geometry_report(SHAPE), SHAPE), np.nan),
     lambda: universal_bound(np.nan, 1.0),
     lambda: dynamic_residual(SHAPE, solve_dirichlet(SHAPE, 0.0, 64),
                              we=np.nan, lam=0.0),
@@ -633,7 +643,7 @@ def test_ungraded_solve_samples_the_uniform_grid(shape):
     # its solution is the one uniform nodes always gave
     n = 128
     sol = solve_dirichlet(shape, 0.2, n)
-    assert sol.alpha == 0.0 and sol.to_dict()["alpha"] == 0.0
+    assert sol.alpha == 0.0 and _render(sol)["alpha"] == 0.0
     bnd = sol.boundary
     half = n // 2
     t = 2.0 * np.pi * np.arange(n) / n
