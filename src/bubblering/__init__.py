@@ -42,14 +42,7 @@ from .solver import (
     evaluate_stream,
     solve_dirichlet,
 )
-from .search import (
-    EllipseFamily,
-    FourierFamily,
-    SearchResult,
-    ShapeFamily,
-    ThickDiskFamily,
-    residual_minimize,
-)
+from .search import SearchResult, ShapeFamily, residual_minimize
 from .certify import (
     BoundCertificate,
     Terms,

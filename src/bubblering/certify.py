@@ -147,19 +147,22 @@ def verdict(cert: BoundCertificate, we: float) -> str:
     return NOT_RULED_OUT
 
 
-def norbury_scaling_probe(R0: float, eps_values) -> list[dict]:
-    """Certificate along the near-axis disk family rho0 = R0 - eps.
+def norbury_scaling_probe(eps_over_R0) -> list[dict]:
+    """Certificate along the near-axis disk family rho0 = R0 - eps, one row
+    per relative offset eps/R0 in `eps_over_R0`.
 
-    Each disk is rescaled to area 2 pi before certification.  Returns one
-    row per eps with the relative offset, the closed-form delta and
-    delta sqrt(eps/R0), mu, the universal we_min and the rescaled disk
-    (`shape`); delta ~ pi sqrt(2) / sqrt(eps/R0) blows up as
-    the ring closes onto the axis, and the bound diverges with it.
+    Every row depends on eps/R0 alone, so R0 = 1.  Each disk is rescaled
+    to area 2 pi before certification.  A row holds the relative offset,
+    the closed-form delta and delta sqrt(eps/R0), mu, the universal we_min
+    and the rescaled disk (`shape`); delta ~ pi sqrt(2) / sqrt(eps/R0)
+    blows up as the ring closes onto the axis, and the bound diverges with
+    it.
     """
+    R0 = 1.0
     rows = []
-    for eps in eps_values:
+    for eps in eps_over_R0:
         if not 0.0 < eps < R0:
-            raise ValueError("eps must lie in (0, R0)")
+            raise ValueError("eps/R0 must lie in (0, 1)")
         rho0 = R0 - eps
         scale = np.sqrt(2.0) / rho0          # rescale so the radius is sqrt(2)
         disk = Disk(R0=R0 * scale, rho0=np.sqrt(2.0))

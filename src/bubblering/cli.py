@@ -14,7 +14,8 @@ is a usage error.  Exit codes: 0 success, 2 validation or usage error,
 3 solver failure.  Every output embeds the invoking config (exactly the
 flags the command read), seed, resolution and library version; identical
 configs produce byte-identical files.  Every JSON block is one record's
-fields, written by `_render`.
+fields, written by `_render`, except `verify-lemmas`' `suites`, which
+`cmd_verify_lemmas` builds from `_suite_rows`.
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ _NORBURY_COLUMNS = ("eps_over_R0", "delta", "delta_scaled", "mu", "we_min")
 
 def cmd_norbury_table(args) -> int:
     eps = [10.0 ** (-p / 2.0) for p in range(2, 9)]
-    rows = norbury_scaling_probe(1.0, eps)
+    rows = norbury_scaling_probe(eps)
     buf = io.StringIO()
     buf.write(f"# version={__version__} units={_UNITS}\n")
     writer = csv.writer(buf)
@@ -353,8 +354,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidShapeError, QuadratureError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, QuadratureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:

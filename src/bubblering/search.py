@@ -20,14 +20,15 @@ solve, but still counts toward the budget and gets its own log row.
 
 The Nelder-Mead (`_nelder_mead`) is numpy only: a step-for-step port of
 scipy's `_minimize_neldermead` (scipy 1.17.1, BSD-3) for the options used
-here.  It asks for the same points as scipy 1.17.1, bit for bit, but the
-search no longer loads scipy.optimize and its results no longer depend on
-the installed scipy's version.
+here.  It asks for the same points as scipy 1.17.1, bit for bit; the
+search loads no scipy.optimize, and its results are the same whatever
+scipy is installed.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,9 +40,6 @@ from .solver import ResidualReport, SolverError, optimal_W_lam
 
 __all__ = [
     "ShapeFamily",
-    "ThickDiskFamily",
-    "EllipseFamily",
-    "FourierFamily",
     "SearchResult",
     "residual_minimize",
     "family_from_name",
@@ -52,74 +50,61 @@ SEARCH_RESOLUTION = 128
 
 _SQRT2 = np.sqrt(2.0)
 _DISK_R0_MAX = np.sqrt(8.0 / 3.0)   # delta >= 0 for the area-2pi disk
+_XATOL, _FATOL = 1e-10, 1e-12      # Nelder-Mead's stopping spans in x, f
 
 
+@dataclass(frozen=True)
 class ShapeFamily:
-    """Finite-dimensional family of normalized cross-sections.
+    """Finite-dimensional family of normalized cross-sections: its `name`,
+    `initial` parameters, `make_shape(params) -> CrossSection`, which
+    raises InvalidShapeError for parameters outside the admissible region,
+    and optional (low, high) `bounds` per parameter."""
 
-    Subclasses define `name`, `initial`, optional (low, high) `bounds` per
-    parameter and `make_shape(params) -> CrossSection`, raising
-    InvalidShapeError for parameters outside the admissible region.
-    """
-
-    name: str = "family"
-    initial: tuple = ()
+    name: str
+    initial: tuple
+    make_shape: Callable[[tuple], CrossSection]
     bounds: tuple | None = None
 
-    def make_shape(self, params) -> CrossSection:  # pragma: no cover
-        raise NotImplementedError
 
-
-class ThickDiskFamily(ShapeFamily):
+def _thick_disk(params) -> Disk:
     """Disks of area 2 pi (radius sqrt 2); the center radius R0 ranges over
     the thick window (sqrt 2, sqrt(8/3)]."""
-
-    name = "thick-disk"
-    initial = (1.55,)
-    bounds = ((_SQRT2, _DISK_R0_MAX),)
-
-    def make_shape(self, params) -> Disk:
-        (R0,) = params
-        if not _SQRT2 < R0 <= _DISK_R0_MAX:
-            raise InvalidShapeError(
-                f"thick-disk family needs sqrt(2) < R0 <= sqrt(8/3), got {R0}")
-        return Disk(R0=float(R0), rho0=_SQRT2)
+    (R0,) = params
+    if not _SQRT2 < R0 <= _DISK_R0_MAX:
+        raise InvalidShapeError(
+            f"thick-disk family needs sqrt(2) < R0 <= sqrt(8/3), got {R0}")
+    return Disk(R0=float(R0), rho0=_SQRT2)
 
 
-class EllipseFamily(ShapeFamily):
+def _ellipse(params) -> Ellipse:
     """Ellipses (R0, m = 1, n), rescaled so the area is exactly 2 pi; m = 1
     fixes the scale that the rescaling would divide out."""
-
-    name = "ellipse"
-    initial = (2.0, 1.2)
-
-    def make_shape(self, params) -> Ellipse:
-        R0, n = (float(p) for p in params)
-        return normalize(Ellipse(R0=R0, m=1.0, n=n), None)[0]
+    R0, n = (float(p) for p in params)
+    return normalize(Ellipse(R0=R0, m=1.0, n=n), None)[0]
 
 
-class FourierFamily(ShapeFamily):
+def _fourier(params) -> FourierStar:
     """Star-shaped sections rho(t) = 1 + c2 cos 2t + c3 cos 3t around a
     center R0, rescaled to area 2 pi; parameters (R0, c2, c3)."""
-
-    name = "fourier"
-    initial = (2.0, 0.0, 0.0)
-
-    def make_shape(self, params) -> FourierStar:
-        R0, c2, c3 = (float(p) for p in params)
-        # FourierStar numbers its coefficients from j = 1: c1 = 0
-        return normalize(FourierStar(R0=R0, base=1.0, coeffs=(0.0, c2, c3)),
-                         None)[0]
+    R0, c2, c3 = (float(p) for p in params)
+    # FourierStar numbers its coefficients from j = 1: c1 = 0
+    return normalize(FourierStar(R0=R0, base=1.0, coeffs=(0.0, c2, c3)),
+                     None)[0]
 
 
-_FAMILIES = {f.name: f for f in (ThickDiskFamily, EllipseFamily, FourierFamily)}
+_FAMILIES = {f.name: f for f in (
+    ShapeFamily("thick-disk", (1.55,), _thick_disk,
+                bounds=((_SQRT2, _DISK_R0_MAX),)),
+    ShapeFamily("ellipse", (2.0, 1.2), _ellipse),
+    ShapeFamily("fourier", (2.0, 0.0, 0.0), _fourier),
+)}
 
 
 def family_from_name(name: str) -> ShapeFamily:
     """The family named `name`, with or without a `family:` prefix."""
     name = name.removeprefix("family:")
     try:
-        return _FAMILIES[name]()
+        return _FAMILIES[name]
     except KeyError:
         raise ValueError(f"unknown family {name!r}; "
                          f"choose from {sorted(_FAMILIES)}") from None
@@ -177,17 +162,16 @@ class _BudgetSpent(Exception):
     """An evaluation was asked for past the budget."""
 
 
-def _nelder_mead(fun, simplex, bounds, maxfev: int, xatol: float,
-                 fatol: float):
+def _nelder_mead(fun, simplex, bounds, maxfev: int):
     """Minimize `fun` by Nelder-Mead from `simplex` ((N + 1) x N) with at
     most `maxfev` calls; returns the best vertex and its value.
 
     A step-for-step port of scipy's `_minimize_neldermead` (scipy 1.17.1,
     BSD-3) for the options `residual_minimize` uses: a given initial
-    simplex, (low, high) `bounds` per parameter or None, maxfev, xatol and
-    fatol, no maxiter and no adaptive coefficients.  Same coefficients,
-    same expressions, same sorts, so it asks `fun` for the same points bit
-    for bit.  A bounded simplex is reflected into the box and clipped, and
+    simplex, (low, high) `bounds` per parameter or None, maxfev, xatol =
+    `_XATOL` and fatol = `_FATOL`, no maxiter and no adaptive coefficients.
+    Same coefficients, same expressions, same sorts, so it asks `fun` for
+    the same points bit for bit.  A bounded simplex is reflected into the box and clipped, and
     so is every trial point.  A call past the budget ends the iteration
     it falls in, as scipy's `_MaxFuncCallError` does.
     """
@@ -224,8 +208,8 @@ def _nelder_mead(fun, simplex, bounds, maxfev: int, xatol: float,
     sim, fsim = order(*order(sim, fsim))   # scipy sorts twice here
     while ncalls < maxfev:
         try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
-                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _XATOL and
+                    np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / N
             xr = clip((1 + rho) * xbar - rho * sim[-1])
@@ -307,8 +291,7 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
     # evaluates x0 first, so budget = 1 stops there
     steps = 0.05 * (1.0 + np.abs(x0)) * (1.0 + 0.1 * rng.random(x0.size))
     simplex = np.vstack([x0, x0 + np.diag(steps)])
-    _nelder_mead(objective, simplex, family.bounds, budget,
-                 xatol=1e-10, fatol=1e-12)
+    _nelder_mead(objective, simplex, family.bounds, budget)
 
     best = min(log, key=score)   # the first of equal minima
     return SearchResult(

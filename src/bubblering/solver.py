@@ -278,15 +278,16 @@ def normal_derivative_matrix(bnd: SmoothBoundary) -> np.ndarray:
     return _unfolded(bnd)[1]
 
 
-def _inverse_norm1(lu, n: int, getrs) -> float:
-    """Estimate of ||M^-1||_1 from the LU factors (lu, piv) of M in O(n^2);
-    `getrs` is LAPACK's dgetrs, which solves with them.
+def _inverse_norm1(lu, getrs) -> float:
+    """Estimate of ||M^-1||_1 from the LU factors (lu, piv) of the n x n
+    matrix M in O(n^2); `getrs` is LAPACK's dgetrs, which solves with them.
 
     Hager's method with Higham's refinements, the algorithm of LAPACK's
     dgecon.  It is written out here because dgecon's result changes in the
     last bits with the alignment of its internal work arrays, which differs
     from one process to the next; this keeps outputs byte-identical.
     """
+    n = lu[0].shape[0]
     x = np.full(n, 1.0 / n)
     est = 0.0
     for it in range(5):
@@ -317,8 +318,7 @@ def _first_kind_solve(mat: np.ndarray, rhs: np.ndarray):
     if info > 0:
         raise SolverError("boundary system singular: "
                           f"U[{info - 1}, {info - 1}] is exactly zero")
-    cond = np.linalg.norm(mat, 1) * _inverse_norm1((lu, piv), mat.shape[0],
-                                                   dgetrs)
+    cond = np.linalg.norm(mat, 1) * _inverse_norm1((lu, piv), dgetrs)
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise SolverError(f"boundary system ill-conditioned: cond = {cond:.3g}")
     return dgetrs(lu, piv, rhs)[0], cond

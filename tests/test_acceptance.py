@@ -189,7 +189,7 @@ def test_09_certificate_monotonicity_and_scaling():
         # (2.8% in exact arithmetic), removed by Richardson extrapolation
         # in sqrt(eps) across the last two table entries
         eps = [1e-2, 1e-3, 1e-4]
-        rows = norbury_scaling_probe(1.0, eps)
+        rows = norbury_scaling_probe(eps)
         v3, v4 = rows[1]["delta_scaled"], rows[2]["delta_scaled"]
         r = np.sqrt(10.0)
         limit = v4 + (v4 - v3) / (r - 1.0)

@@ -201,7 +201,7 @@ def test_verdict_monotone_in_we():
 
 def test_norbury_probe_diverges_monotonically():
     eps = [1e-1, 1e-2, 1e-3, 1e-4]
-    rows = norbury_scaling_probe(1.0, eps)
+    rows = norbury_scaling_probe(eps)
     wemins = [row["we_min"] for row in rows]
     deltas = [row["delta"] for row in rows]
     assert all(np.diff(wemins) > 0)
@@ -216,4 +216,4 @@ def test_norbury_probe_diverges_monotonically():
 
 def test_probe_validates_eps():
     with pytest.raises(ValueError):
-        norbury_scaling_probe(1.0, [1.5])
+        norbury_scaling_probe([1.5])

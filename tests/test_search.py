@@ -4,22 +4,14 @@ from numpy.testing import assert_allclose
 
 from bubblering import search
 from bubblering.cli import _render
-from bubblering.search import (
-    EllipseFamily,
-    FourierFamily,
-    ShapeFamily,
-    ThickDiskFamily,
-    family_from_name,
-    residual_minimize,
-)
+from bubblering.search import ShapeFamily, family_from_name, residual_minimize
 from bubblering.geometry import geometry_report
 from bubblering.shapes import Disk, InvalidShapeError
 
 
 def test_families_produce_normalized_shapes():
-    cases = [(fam, fam.initial)
-             for fam in [ThickDiskFamily(), EllipseFamily(), FourierFamily()]]
-    cases.append((FourierFamily(), (2.0, 0.05, -0.02)))
+    cases = [(fam, fam.initial) for fam in search._FAMILIES.values()]
+    cases.append((family_from_name("fourier"), (2.0, 0.05, -0.02)))
     for fam, params in cases:
         shape = fam.make_shape(params)
         rep = geometry_report(shape)
@@ -29,14 +21,14 @@ def test_families_produce_normalized_shapes():
 def test_fourier_family_c2_multiplies_cos_2t():
     # rho = base + c2 cos 2t is even about t = pi/2: rho(0) = rho(pi); a
     # coefficient on cos t would make the section lopsided in r instead
-    shape = FourierFamily().make_shape((2.0, 0.1, 0.0))
+    shape = family_from_name("fourier").make_shape((2.0, 0.1, 0.0))
     (r0, r_pi), _ = shape.point(np.array([0.0, np.pi]))
     assert_allclose(r0 - shape.R0, shape.R0 - r_pi, rtol=1e-14)
 
 
 @pytest.mark.parametrize("family, params", [
-    (EllipseFamily(), (2.0, 1.2)),
-    (FourierFamily(), (2.0, 0.05, -0.02)),
+    (family_from_name("ellipse"), (2.0, 1.2)),
+    (family_from_name("fourier"), (2.0, 0.05, -0.02)),
 ], ids=["ellipse", "fourier"])
 def test_scaled_parameters_give_a_different_shape(family, params):
     # the rescaling to area 2 pi divides out any common scale, so a family
@@ -48,7 +40,7 @@ def test_scaled_parameters_give_a_different_shape(family, params):
 
 
 def test_family_admissibility():
-    fam = ThickDiskFamily()
+    fam = family_from_name("thick-disk")
     with pytest.raises(InvalidShapeError):
         fam.make_shape((1.0,))  # touches the axis
     with pytest.raises(InvalidShapeError):
@@ -63,11 +55,19 @@ def test_family_name_prefix_is_optional(name):
     assert family_from_name(name).name == name
 
 
+@pytest.mark.parametrize("name", search._FAMILIES)
+def test_every_family_starting_point_solves(name):
+    # a new family's record is covered once it is in the table
+    res = residual_minimize(name, we=0.5, budget=1, resolution=8)
+    assert res.best_report is not None
+    assert np.isfinite(res.best_residual)
+
+
 def test_budget_one_returns_initial_candidate():
     res = residual_minimize("thick-disk", we=0.5, budget=1, seed=0,
                             resolution=64)
     assert res.n_evaluations == 1
-    assert res.best_params == ThickDiskFamily().initial
+    assert res.best_params == family_from_name("thick-disk").initial
     assert res.best_report is not None
     assert res.best_residual == res.best_report.dyn_residual_l2
 
@@ -169,26 +169,23 @@ def test_each_distinct_point_is_solved_once(monkeypatch):
         range(1, res.n_evaluations + 1))
 
 
-class _CountingFamily(ShapeFamily):
-    """One parameter; a disk for p >= 0, rejected below; counts builds."""
+def _counting_family(built):
+    """One parameter; a disk for p >= 0, rejected below; appends each
+    build's parameters to `built`."""
 
-    name = "counting"
-    initial = (0.0,)
-
-    def __init__(self):
-        self.built = []
-
-    def make_shape(self, params):
-        self.built.append(params)
+    def make_shape(params):
+        built.append(params)
         if params[0] < 0:
             raise InvalidShapeError("rejected")
         return Disk(R0=1.55, rho0=np.sqrt(2.0))
+
+    return ShapeFamily("counting", (0.0,), make_shape)
 
 
 def _scripted_search(monkeypatch, points, family):
     # stand-in optimizer that asks for the given points in order;
     # residual_minimize looks `_nelder_mead` up in its module at each call
-    def scripted(fun, simplex, bounds, maxfev, **kwargs):
+    def scripted(fun, simplex, bounds, maxfev):
         for p in points:
             fun(np.array([p]))
 
@@ -198,9 +195,10 @@ def _scripted_search(monkeypatch, points, family):
 
 
 def test_penalized_repeat_is_not_rebuilt(monkeypatch):
-    family = _CountingFamily()
-    res = _scripted_search(monkeypatch, [-1.0, -1.0, 0.5, -1.0], family)
-    assert family.built == [(-1.0,), (0.5,)]
+    built = []
+    res = _scripted_search(monkeypatch, [-1.0, -1.0, 0.5, -1.0],
+                           _counting_family(built))
+    assert built == [(-1.0,), (0.5,)]
     assert res.n_evaluations == 4 and res.n_solves == 2
     assert [row["penalized"] for row in res.log] == [True, True, False, True]
     assert res.best_params == (0.5,)
@@ -208,9 +206,10 @@ def test_penalized_repeat_is_not_rebuilt(monkeypatch):
 
 def test_bit_different_points_are_separate_solves(monkeypatch):
     # 0.0 == -0.0 as floats, but they are different parameter vectors
-    family = _CountingFamily()
-    res = _scripted_search(monkeypatch, [0.0, -0.0, 0.0], family)
-    assert [np.signbit(p[0]) for p in family.built] == [False, True]
+    built = []
+    res = _scripted_search(monkeypatch, [0.0, -0.0, 0.0],
+                           _counting_family(built))
+    assert [np.signbit(p[0]) for p in built] == [False, True]
     assert res.n_evaluations == 3 and res.n_solves == 2
     assert res.log[2]["report"] is res.log[0]["report"]
     assert res.log[1]["report"] is not res.log[0]["report"]
@@ -240,7 +239,7 @@ _NM_CASES = {
     # the thick-disk search's shape: the starting vertex 1.68 lies past
     # R0 = sqrt(8/3) and is reflected inside; later reflections clip onto it
     "clipped-1d": (lambda x: float((x[0] - 2.0) ** 2), [[1.55], [1.68]],
-                   ThickDiskFamily.bounds, False),
+                   family_from_name("thick-disk").bounds, False),
     "rosenbrock-2d": (_rosenbrock, [[-1.2, 1.0], [-1.1, 1.0], [-1.2, 1.1]],
                       None, False),
     "rosenbrock-3d": (_rosenbrock, [[-1.0, 1.0, 0.5], [-0.9, 1.0, 0.5],
@@ -261,8 +260,7 @@ def _port_points(fun, simplex, bounds, maxfev):
         points.append(x.tobytes())
         return fun(x)
 
-    x, fx = search._nelder_mead(traced, np.array(simplex), bounds, maxfev,
-                                xatol=1e-10, fatol=1e-12)
+    x, fx = search._nelder_mead(traced, np.array(simplex), bounds, maxfev)
     return points, x, fx
 
 

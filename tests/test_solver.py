@@ -413,7 +413,7 @@ def test_inverse_norm_estimate_against_exact():
             mat = rng.standard_normal((n, n))
             mat[:, 0] *= scale
             exact = np.max(np.sum(np.abs(np.linalg.inv(mat)), axis=0))
-            est = solver._inverse_norm1(lu_factor(mat), n, dgetrs)
+            est = solver._inverse_norm1(lu_factor(mat), dgetrs)
             assert exact / 3.0 <= est <= exact * (1.0 + 1e-10)
 
 
@@ -439,8 +439,7 @@ def test_first_kind_solve_equals_scipy_lu(monkeypatch, n):
         return lu_solve((lu, piv), b, trans=trans, check_finite=False), 0
 
     assert np.array_equal(sol, lu_solve(lu, rhs, check_finite=False))
-    assert cond == np.linalg.norm(mat, 1) * solver._inverse_norm1(
-        lu, mat.shape[0], getrs)
+    assert cond == np.linalg.norm(mat, 1) * solver._inverse_norm1(lu, getrs)
 
 
 def test_singular_system_is_refused():
