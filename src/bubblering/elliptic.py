@@ -26,45 +26,116 @@ squares at each Landen step, so ln(1/q~) telescopes to ln(1/q) plus a sum
 of positive terms (2 a_{n+1}/a_n = 1 + b_n/a_n lies in (1, 2]); after N
 converged steps the rest is 2^(2-N) ln 2, and RK(0) = 2 ln 2.  RE is
 Legendre's relation E Kc + Ec K - K Kc = pi/2, the log parts cancelling.
-The kernel's off-boundary values read K and T of the same `_agm`.
+
+The solver knows k and q exactly (`kernel._modulus` computes both from
+the point pair), so the split starts from (k, q), not from q alone:
+sqrt(1 - q) would lose the digits of a small k.  Its first AGM step is in
+closed form, (a, b, c)_1 = ((1 + k)/2, sqrt(k), q / (4 a_1)), and only
+the split accumulates the nome sum.  `_agm` runs the remaining steps, the
+same number for every member of an array, the count of its slowest one.
+The kernel's off-boundary values read K and T of the same `_agm`, started
+at (1, k', k).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 __all__ = ["ModulusError", "ellip_log_split"]
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 class ModulusError(ValueError):
     """Modulus outside [0, 1); K diverges at k = 1."""
 
 
-def _agm(b0, c0):
-    """(K, T, L) of the AGM started at (a, b, c) = (1, b0, c0) = (1, k', k),
-    L the nome sum of the module docstring: 2^(2-N) ln(2 P) after N steps
-    of P <- P^2 (1 + b_n / a_n).  Stops once c_n <= eps a_n.  P stays below
-    2^(2^N), so L is finite for b0 >= 1e-8 (N <= 9); callers with smaller
-    b0 ignore it.  In place, on copies of b0 and c0 (0-d input works)."""
-    b, c = np.array(b0, dtype=float), np.array(c0, dtype=float)
-    a, P, T, t = np.ones_like(b), np.ones_like(b), np.zeros_like(b), b.copy()
-    pow2 = 1.0
+def _agm(A, B, c, T, P=None):
+    """Finish in place the AGM of the module docstring from its first step,
+    with a and b carried times 4 (exact), so c_{n+1} = c_n^2 / A_{n+1}:
+    (A, B, c) = (4 a, 4 b, c)_1, T = 2 c_1^2 and, for the nome sum, P =
+    1 + b_0.  Every member runs the steps of the slowest, the one with the
+    largest c_1 = (1 - b_0)/2, counted by its scalar recurrence: until
+    c_n <= eps a_n, at most 60 steps in all.  Accumulates P <- P^2 (1 +
+    b_n / a_n) when given; P stays below 2^(2^N), so ln(2 P) is finite for
+    b_0 >= 1e-8 (N <= 9).  Leaves A = 4 a_N, T and P in place (B is used as
+    scratch) and returns 2^N."""
+    steps = 0
+    if c.size:
+        i = np.argmax(c)
+        x, y, z = float(A.flat[i]), float(B.flat[i]), float(c.flat[i])
+        while steps < 59 and not 4.0 * z <= _EPS * x:
+            x, y = (x + y) * 0.5, math.sqrt(x * y)
+            z *= z / x
+            steps += 1
+    t = np.empty_like(A)
+    pow2 = 2.0
     with np.errstate(over="ignore"):
-        for _ in range(60):
-            P *= P
-            P *= np.add(np.divide(b, a, out=t), 1.0, out=t)
-            np.sqrt(np.multiply(a, b, out=t), out=t)
-            a += b
-            a *= 0.5
-            b, t = t, b
-            c *= np.divide(c, np.multiply(a, 4.0, out=t), out=t)
+        for _ in range(steps):
+            np.sqrt(np.multiply(A, B, out=t), out=t)
+            if P is not None:      # P^2 (1 + b/a) = P^2 (A + B) / A
+                P *= P
+                P /= A
+            A += B
+            if P is not None:
+                P *= A
+            A *= 0.5
+            B, t = t, B
+            c *= np.divide(c, A, out=t)
             pow2 *= 2.0
             T += np.multiply(np.multiply(c, c, out=t), pow2, out=t)
-            if np.all(c <= _EPS * a):
-                break
-    return np.pi / (2.0 * a), T, np.log(2.0 * P) * (4.0 / pow2)
+    return pow2
+
+
+def _agm_kt(b0, c0):
+    """(K, T) of the AGM from (1, b0, c0) = (1, k', k): the first step
+    (a, b, c)_1 = ((1 + b0)/2, sqrt(b0), c0 (c0 / (4 a_1))), then `_agm`,
+    and K = pi / (2 a_N)."""
+    A = np.add(b0, 1.0, out=np.empty(np.shape(b0)))
+    A *= 2.0
+    B = np.sqrt(b0, out=np.empty_like(A))
+    B *= 4.0
+    c = np.divide(c0, A, out=np.empty_like(A))
+    c *= c0
+    T = np.multiply(c, c, out=np.empty_like(A))
+    T *= 2.0
+    _agm(A, B, c, T)
+    return np.divide(2.0 * np.pi, A, out=A), T
+
+
+def _log_split(k, q):
+    """`ellip_log_split` of the modulus k' = sqrt(q) of the exact pair
+    (k, q = 1 - k^2), unchecked.  The AGM from (1, k, sqrt q) takes its
+    first step in closed form, (4 a, 4 b, c)_1 = (2 P_1, 4 sqrt(k), q /
+    (2 P_1)) with P_1 = 1 + k, and the tail reuses its arrays."""
+    P = np.add(k, 1.0, out=np.empty(np.shape(k)))
+    A = np.multiply(P, 2.0, out=np.empty_like(P))
+    B = np.sqrt(k, out=np.empty_like(P))
+    B *= 4.0
+    c = np.divide(q, A, out=np.empty_like(P))
+    T = np.multiply(c, c, out=np.empty_like(P))
+    T *= 2.0
+    pow2 = _agm(A, B, c, T, P)
+    RK = P                      # (Kc/pi) ln(2 P) 4/2^N, Kc = 2 pi / A
+    RK *= 2.0
+    np.log(RK, out=RK)
+    RK *= 8.0 / pow2
+    RK /= A
+    hK = np.divide(np.pi, A, out=A)     # Kc / 2
+    Ec = np.add(q, T, out=c)
+    np.subtract(2.0, Ec, out=Ec)
+    Ec *= hK
+    kme_q = np.divide(T, q, out=T, where=q > 0.0)
+    kme_q += 1.0
+    kme_q *= hK
+    Kc = np.multiply(hK, 2.0, out=hK)
+    RE = np.multiply(q, RK, out=B)
+    RE *= kme_q
+    RE += 0.5 * np.pi
+    RE /= Kc
+    return Kc, Ec, RK, RE, kme_q
 
 
 def ellip_log_split(q):
@@ -77,14 +148,4 @@ def ellip_log_split(q):
     q = np.asarray(q, dtype=float)
     if np.any(q < 0) or np.any(q >= 1):
         raise ModulusError("complement must satisfy 0 <= q < 1")
-    Kc, T, RK = _agm(np.sqrt(1.0 - q), np.sqrt(q))
-    RK *= Kc / np.pi
-    kme_q = np.divide(T, q, out=np.zeros_like(q), where=q > 0.0)
-    kme_q += 1.0
-    kme_q *= 0.5 * Kc
-    Ec = Kc * (1.0 - 0.5 * (q + T))
-    RE = q * RK * kme_q
-    RE += 0.5 * np.pi
-    RE /= Kc
-    return Kc, Ec, RK, RE, kme_q
-
+    return _log_split(np.sqrt(1.0 - q), q)

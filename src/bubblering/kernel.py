@@ -14,7 +14,7 @@ logarithmically singular at coincident points: with q = 1 - k^2,
 and both factors are analytic, which is what the Nystrom scheme consumes.
 
 Pointwise, F and F'(k) = -2K/k^2 + (2 - k^2) E / (k^2 q) come from one AGM
-(`elliptic._agm`): with E = K (1 - k^2/2 - T/2) and the AGM tail sum T,
+(`elliptic._agm_kt`): with E = K (1 - k^2/2 - T/2) and the AGM tail sum T,
 
     F(k)  = K T / k,
     F'(k) = K (k^2 (k^2 + T)/2 - T) / (k^2 q).
@@ -28,17 +28,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .elliptic import _agm, ellip_log_split
+from .elliptic import _agm_kt, _log_split
 
 __all__ = ["ring_kernel", "ring_kernel_gradient"]
 
 
 def _modulus(r, z, rb, zb):
-    d1sq = (r + rb) ** 2 + (z - zb) ** 2
+    dz2 = (z - zb) ** 2
+    d1sq = (r + rb) ** 2 + dz2
     k2 = 4.0 * r * rb / d1sq
-    rho2 = (r - rb) ** 2 + (z - zb) ** 2
+    rho2 = (r - rb) ** 2 + dz2
     q = rho2 / d1sq  # complementary modulus squared, exact: 1 - k^2
-    return np.sqrt(np.clip(k2, 0.0, 1.0)), q, d1sq, rho2
+    return np.sqrt(np.minimum(k2, 1.0)), q, d1sq, rho2
 
 
 def _pointwise(source, target):
@@ -56,7 +57,7 @@ def _pointwise(source, target):
     k, q, d1sq, rho2 = _modulus(r, z, rb, zb)
     if np.any(rho2 == 0.0):
         raise ValueError("ring kernel is singular at coincident points")
-    K, T, _ = _agm(np.sqrt(q), k)
+    K, T = _agm_kt(np.sqrt(q), k)
     k2 = k * k
     return r, z, k, d1sq, K * T / k, K * (0.5 * k2 * (k2 + T) - T) / (k2 * q)
 
@@ -97,14 +98,27 @@ def _modulus_factors(k, q):
     """The kernel factors that depend on a point pair only through its
     modulus (k, q = 1 - k^2): (FL, Freg, dFL, RKk, REk), with dFL the log
     factor of F'(k), RKk = -2 RK / k^2 and REk = (2 - k^2) RE / k^2."""
-    Kc, Ec, RK, RE, kme_q = ellip_log_split(q)
-    ik, ik2 = 1.0 / k, 1.0 / (k * k)
-    FL = (2.0 * ik * Ec - k * Kc) / np.pi
-    Freg = (2.0 * ik - k) * RK - 2.0 * ik * RE
-    REk = 2.0 * ik2 - 1.0      # (2 - k^2) / k^2
-    dFL = (REk * kme_q - 2.0 * ik2 * Kc) / np.pi
+    Kc, Ec, RK, RE, kme_q = _log_split(k, q)
+    ik = np.divide(1.0, k, out=np.empty_like(Kc))
+    ik2 = np.multiply(ik, ik, out=np.empty_like(Kc))
+    t = np.multiply(k, Kc, out=np.empty_like(Kc))
+    FL = np.multiply(Ec, ik, out=Ec)
+    FL *= 2.0
+    FL -= t
+    FL /= np.pi
+    ik *= 2.0                  # 2 / k
+    Freg = np.subtract(ik, k, out=t)
+    Freg *= RK
+    Freg -= np.multiply(ik, RE, out=ik)
+    REk = np.multiply(ik2, 2.0, out=ik)
+    REk -= 1.0                 # (2 - k^2) / k^2
+    dFL = np.multiply(kme_q, REk, out=kme_q)
+    ik2 *= 2.0                 # 2 / k^2
+    dFL -= np.multiply(ik2, Kc, out=Kc)
+    dFL /= np.pi
     REk *= RE
-    RK *= -2.0 * ik2
+    RK *= ik2
+    np.negative(RK, out=RK)
     return FL, Freg, dFL, RK, REk
 
 

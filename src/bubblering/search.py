@@ -36,7 +36,7 @@ import numpy as np
 from .geometry import normalize
 from .shapes import (CrossSection, Disk, Ellipse, FourierStar,
                      InvalidShapeError, node_count)
-from .solver import ResidualReport, SolverError, optimal_W_lam
+from .solver import ResidualReport, SolverError, _check_we, optimal_W_lam
 
 __all__ = [
     "ShapeFamily",
@@ -261,8 +261,7 @@ def residual_minimize(family: ShapeFamily | str, we: float, budget: int,
     """
     if isinstance(family, str):
         family = family_from_name(family)
-    if not 0 < we < np.inf:
-        raise ValueError("Weber number must be finite and positive")
+    _check_we(we)
     try:
         budget = operator.index(budget)
     except TypeError:

@@ -64,6 +64,7 @@ __all__ = [
 SOLVER_TOL = 1e-8
 MAX_CONDITION = 1e12
 _ORBIT_BLOCK = 12288   # orbit representatives per block, see below
+_TINY = float(np.finfo(float).tiny)
 
 
 class SolverError(RuntimeError):
@@ -200,7 +201,8 @@ def _orbit_coefficients(bnd: SmoothBoundary):
         blk = slice(lo, min(lo + _ORBIT_BLOCK, m))
         P, D3, D4, B2 = coef[:, blk]
         i, j = ra[blk], rb[blk]
-        k, q, d1sq, rho2 = _modulus(bnd.r[i], bnd.z[i], bnd.r[j], bnd.z[j])
+        ri, rj = bnd.r[i], bnd.r[j]
+        k, q, d1sq, rho2 = _modulus(ri, bnd.z[i], rj, bnd.z[j])
         FL, Freg, dFL, B1, REk = _modulus_factors(k, q)    # B1 = RKk
         a0, a1 = np.searchsorted(start, (lo, blk.stop))
         diag = start[a0:a1] - lo     # the diagonal pairs (a, a) of the block
@@ -210,7 +212,7 @@ def _orbit_coefficients(bnd: SmoothBoundary):
         lg += R[blk] * (n / (2.0 * np.pi))      # Rlog / h
         Freg -= np.multiply(FL, lg, out=FL)
         np.multiply(Freg, 2.0 * np.pi / n, out=P)
-        pkh = np.sqrt(bnd.r[i] * bnd.r[j]) * (k / n)
+        pkh = np.sqrt(ri * rj) * (k / n)
         np.multiply(pkh, REk, out=B2)
         B1 -= np.multiply(dFL, lg, out=dFL)
         B1 *= pkh
@@ -450,6 +452,34 @@ def dynamic_residual(shape: CrossSection, sol: BoundarySolution,
     )
 
 
+def _check_we(we) -> None:
+    """ValueError unless We is finite and no smaller than the smallest
+    normal float.  A subnormal We makes the quartics' coefficients
+    subnormal too, and their companion matrices overflow."""
+    if not 0 < we < np.inf:
+        raise ValueError("Weber number must be finite and positive")
+    if we < _TINY:
+        raise ValueError(f"Weber number {float(we)!r} is subnormal: it "
+                         f"must be at least {_TINY:g}")
+
+
+def _critical_points(quartics) -> np.ndarray:
+    """The roots of each quartic's derivative, row by row as
+    P.polyroots(P.polyder(row)) gives them, from one eigvals call on the
+    cubics' companion matrices, built as P.polycompanion builds them.
+    Where a cubic's top coefficient is 0, P.polyroots lowers its degree,
+    so the rows go there instead."""
+    d = quartics[:, 1:] * np.arange(1.0, 5.0)     # P.polyder of each row
+    if not np.all(d[:, -1]):
+        return np.concatenate([P.polyroots(c) for c in d])
+    comp = np.zeros((len(d), 3, 3))
+    comp[:, [1, 2], [0, 1]] = 1.0
+    comp[:, :, -1] -= d[:, :-1] / d[:, -1:]
+    roots = np.linalg.eigvals(comp)
+    roots.sort()
+    return roots.ravel()
+
+
 def optimal_W_lam(shape: CrossSection, we: float,
                   resolution: int = DEFAULT_RESOLUTION):
     """(solution, report): the W (`solution.W`) and lam >= 0 (`report.lam`)
@@ -462,10 +492,10 @@ def optimal_W_lam(shape: CrossSection, we: float,
     weighted boundary mean, and the squared residual sum w g^2 - (sum w)
     lam^2 is a quartic in W on either side of the roots of <g>_w: its
     minimum is among the real critical points of both quartics and those
-    roots.  A We at which the quartics overflow is a ValueError.
+    roots.  A We at which the quartics overflow, or a subnormal We
+    (`_check_we`), is a ValueError.
     """
-    if not 0 < we < np.inf:
-        raise ValueError("Weber number must be finite and positive")
+    _check_we(we)
     bnd, cond, cols = _solve_affine(shape, resolution)
     w = bnd.weights
     dn_psi = cols[2]
@@ -473,19 +503,23 @@ def optimal_W_lam(shape: CrossSection, we: float,
     b = dn_psi[:, 1] / bnd.r - bnd.normal_r
 
     def sq_norm(c):   # coefficients of sum w (c_0 + c_1 W + c_2 W^2)^2
-        out = np.zeros(5)
-        np.add.at(out, np.add.outer(range(3), range(3)), (c * w) @ c.T)
-        return out
+        # the anti-diagonal sums of the weighted Gram matrix M, each from
+        # 0.0 in row order, as np.add.at sums them
+        M = ((c * w) @ c.T).tolist()
+        return [0.0 + M[0][0], 0.0 + M[0][1] + M[1][0],
+                0.0 + M[0][2] + M[1][1] + M[2][0], 0.0 + M[1][2] + M[2][1],
+                0.0 + M[2][2]]
 
     with np.errstate(over="ignore", invalid="ignore"):
         # nodal coefficients of g in powers of W, lowest first
         g = np.stack([2.0 * (bnd.curvature + bnd.normal_r / bnd.r)
                       - we * a**2, -2.0 * we * a * b, -we * b**2])
         mean = g @ w / np.sum(w)
-        quartics = sq_norm(g), sq_norm(g - mean[:, None])   # lam = 0, > 0
+        # the quartics of lam = 0 and of lam > 0
+        quartics = np.array([sq_norm(g), sq_norm(g - mean[:, None])])
     _check_defect(quartics, f"Weber number {we:g} is")
-    cands = np.concatenate([P.polyroots(P.polyder(q)) for q in quartics]
-                           + [P.polyroots(mean)]).real
+    cands = np.concatenate([_critical_points(quartics),
+                            P.polyroots(mean)]).real
     G = g[0] + np.outer(cands, g[1]) + np.outer(cands**2, g[2])
     lam = np.maximum(0.0, -(G @ w) / np.sum(w))
     best = int(np.argmin((G + lam[:, None]) ** 2 @ w))

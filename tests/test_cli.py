@@ -614,6 +614,26 @@ def test_refused_search_loads_no_scipy(tmp_path):
     assert not out.exists()
 
 
+def test_subnormal_weber_number_is_refused_before_any_solve(tmp_path):
+    # a subnormal We makes the residual quartics' companion matrices
+    # overflow; the search refuses it with its checks, so it loads no scipy
+    out = tmp_path / "search.json"
+    code = textwrap.dedent("""
+        import sys
+        import bubblering.cli
+        status = bubblering.cli.main(sys.argv[1:])
+        print(status, sorted(m for m in sys.modules
+                             if m == "scipy" or m.startswith("scipy.")))
+    """)
+    proc = _fresh_python(code, "search", "--shape", "family:thick-disk",
+                         "--we", "1e-320", "--budget", "2", "--resolution",
+                         "32", "--out", str(out))
+    assert proc.stdout == "2 []\n"
+    assert proc.stderr == ("error: Weber number 1e-320 is subnormal: it must "
+                           "be at least 2.22507e-308\n")
+    assert not out.exists()
+
+
 def test_search_loads_scipy_linalg_but_not_optimize(tmp_path):
     # the search's Nelder-Mead is numpy only; its solves load scipy.linalg
     out = tmp_path / "search.json"

@@ -1,11 +1,12 @@
 import mpmath
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from bubblering.elliptic import _agm
+from bubblering.elliptic import _agm_kt, _log_split
 from bubblering.kernel import (
     _modulus,
+    _modulus_factors,
     gradient_split,
     kernel_split,
     ring_kernel,
@@ -65,15 +66,34 @@ def _mp_kernel(rb, zb, r, z):
     return mpmath.sqrt(r * rb) / (2 * mpmath.pi) * F
 
 
+def _reference_agm(b0, c0):
+    # (K, T) of the AGM from (1, b0, c0), step by step from step 0 and
+    # stopped once every member has c_n <= eps a_n: the loop `_agm_kt` must
+    # reproduce bit for bit, first step and step count included
+    a, b, c = 1.0, np.asarray(b0, dtype=float), np.asarray(c0, dtype=float)
+    T, pow2 = 0.0, 1.0
+    for _ in range(60):
+        a, b = (a + b) * 0.5, np.sqrt(a * b)
+        c = c * (c / (a * 4.0))
+        pow2 *= 2.0
+        T = T + c * c * pow2
+        if np.all(c <= np.finfo(float).eps * a):
+            break
+    return np.pi / (2.0 * a), T
+
+
 def test_against_mpmath_along_a_line():
     # source (1, 0), targets (1, z): k runs from about 2e-4 (far field) to
     # 1 - 1e-11 (near the filament); derivatives by mpmath's own
     # differentiation of the 40-digit kernel.  z = 1e-9 and 1e-12 put the
-    # AGM seed sqrt(q) below 1e-8, outside the range where `_agm` bounds
-    # its nome sum (which the kernel discards); their reference needs 60
-    # digits
+    # AGM seed sqrt(q) below 1e-8; their reference needs 60 digits.  The
+    # kernel reads K and T of `_agm_kt` alone, and those are bit for bit the
+    # step-by-step loop's, so the kernel values are too
     one = mpmath.mpf(1)
     for z in np.concatenate([[1e-12, 1e-9], np.logspace(-5.0, 4.0, 60)]):
+        k, q, _, _ = _modulus(1.0, z, 1.0, 0.0)
+        assert_array_equal(_agm_kt(np.sqrt(q), k),
+                           _reference_agm(np.sqrt(q), k))
         with mpmath.workdps(60 if z < 1e-5 else 40):
             zm = mpmath.mpf(float(z))
             G = _mp_kernel(one, 0, one, zm)
@@ -86,17 +106,15 @@ def test_against_mpmath_along_a_line():
             assert_allclose(gz, float(Gz), rtol=1e-14)
 
 
-def test_batch_with_overflowing_nome_product_matches_pointwise():
-    # one call along the line of the mpmath test, down to z = 1e-30: the
-    # AGM runs until its slowest seed (sqrt(q) ~ 5e-31) converges, and the
-    # far targets' nome products overflow meanwhile.  They are discarded
-    # under np.errstate (pytest turns a RuntimeWarning into an error), so
-    # every value equals that of its own call
+def test_batch_with_a_slow_seed_matches_pointwise():
+    # one call along the line of the mpmath test, down to z = 1e-30: every
+    # member runs the steps of the slowest seed (sqrt(q) ~ 5e-31), as many
+    # as the step-by-step loop, and every value equals that of its own call
     zs = np.concatenate([[1e-30, 1e-15, 1e-12, 1e-9],
                          np.logspace(-5.0, 4.0, 60)])
     target = (np.ones_like(zs), zs)
     k, q, _, _ = _modulus(*target, 1.0, 0.0)
-    assert np.isinf(_agm(np.sqrt(q), k)[2]).any()
+    assert_array_equal(_agm_kt(np.sqrt(q), k), _reference_agm(np.sqrt(q), k))
     G = ring_kernel((1.0, 0.0), target)
     gr, gz = ring_kernel_gradient((1.0, 0.0), target)
     for i, z in enumerate(zs):
@@ -189,6 +207,47 @@ def test_split_is_accurate_near_diagonal():
         val = pref * (FL * np.log(1.0 / q) + Freg)
         ref = ring_kernel((rb, zb), (r, z))
         assert_allclose(val, ref, rtol=1e-12)
+
+
+def _mp_split_factors(r, z, rb, zb):
+    # (Kc, Ec, RK, RE, (Kc - Ec)/q) and (FL, dFL, RKk, REk) at 40 digits,
+    # the modulus from the exact point pair
+    with mpmath.workdps(40):
+        r, z, rb, zb = map(mpmath.mpf, (r, z, rb, zb))
+        d1sq = (r + rb) ** 2 + (z - zb) ** 2
+        k2, q = 4 * r * rb / d1sq, ((r - rb) ** 2 + (z - zb) ** 2) / d1sq
+        k = mpmath.sqrt(k2)
+        Kc, Ec = mpmath.ellipk(q), mpmath.ellipe(q)
+        L = mpmath.log(1 / q) / mpmath.pi
+        RK = mpmath.ellipk(k2) - Kc * L
+        RE = mpmath.ellipe(k2) - (Kc - Ec) * L
+        kme_q = (Kc - Ec) / q
+        FL = (2 * Ec / k - k * Kc) / mpmath.pi
+        dFL = ((2 - k2) / k2 * kme_q - 2 * Kc / k2) / mpmath.pi
+        return [float(x) for x in (Kc, Ec, RK, RE, kme_q, FL, dFL,
+                                   -2 * RK / k2, (2 - k2) * RE / k2)]
+
+
+def test_modulus_factors_split_keeps_small_k_digits():
+    # targets (r, 0) and (1, z) of the source (1, 0): k from 2e-6 to 1.
+    # The split reads k from `_modulus`, not sqrt(1 - q), whose lost digits
+    # put Kc 1.1e-13 off at k = 0.014 and 1.2e-6 off at k = 2e-6.  Ec =
+    # Kc (1 - (q + T)/2) is a difference near 1/Kc at small k, so it and
+    # FL and dFL, which read it, carry about Kc eps (29 eps at k = 8e-5).
+    # Freg is left out: its two terms cancel to O(k^3) in the far field
+    eps = np.finfo(float).eps
+    r = np.concatenate([np.logspace(-12, 0, 49)[:-1], np.ones(41)])
+    z = np.concatenate([np.zeros(48), np.logspace(-8, 2, 41)])
+    k, q, _, _ = _modulus(r, z, 1.0, 0.0)
+    assert k.min() < 3e-6 and k.max() == 1.0
+    FL, _, dFL, RKk, REk = _modulus_factors(k, q)
+    got = np.array([*_log_split(k, q), FL, dFL, RKk, REk])
+    want = np.array([_mp_split_factors(*p, 1.0, 0.0) for p in zip(r, z)]).T
+    rtol = 6 * eps * np.array([1, 8, 1, 1, 1, 8, 8, 1, 1])
+    for name, g, w, tol in zip(
+            ["Kc", "Ec", "RK", "RE", "kme_q", "FL", "dFL", "RKk", "REk"],
+            got, want, rtol):
+        assert_allclose(g, w, rtol=tol, atol=0, err_msg=name)
 
 
 def test_gradient_split_reassembles():

@@ -491,6 +491,40 @@ def test_optimal_W_lam_floor_tends_to_its_zero_We_anchor(we):
     assert 0.0 <= anchor - rep.dyn_residual_l2 <= 1e-2 * we * anchor
 
 
+def test_critical_points_equal_polyroots_bit_for_bit():
+    # one eigvals call on the stacked companion matrices gives each
+    # quartic's critical points exactly as P.polyroots(P.polyder(q)) does,
+    # order included; every tenth pair has a vanishing top coefficient
+    from numpy.polynomial import polynomial as P
+    rng = np.random.default_rng(3)
+    for i in range(2000):
+        quartics = rng.standard_normal((2, 5)) * 10.0 ** rng.uniform(-8, 8, 5)
+        if i % 10 == 0:
+            quartics[i % 20 // 10, 4] = 0.0
+        want = np.concatenate([P.polyroots(P.polyder(q)) for q in quartics])
+        assert np.array_equal(solver._critical_points(quartics), want)
+
+
+@pytest.mark.parametrize("we", [1e-200, np.finfo(float).tiny])
+def test_optimal_W_lam_where_we_squared_underflows(we):
+    # We^2 is 0, and so are the quartics' top coefficients: P.polyroots
+    # lowers the degree of their derivatives
+    sol, rep = solver.optimal_W_lam(Disk(R0=1.6, rho0=np.sqrt(2.0)), we, 64)
+    assert sol.W == pytest.approx(0.1699047988157043, rel=1e-12)
+    assert rep.lam == pytest.approx(0.1952886593276755, rel=1e-12)
+
+
+@pytest.mark.parametrize("we", [1e-320, 1e-312, 2.2e-308])
+@pytest.mark.parametrize("call", [
+    lambda we: solver.optimal_W_lam(SHAPE, we, 64),
+    lambda we: residual_minimize("thick-disk", we, budget=1),
+], ids=["optimal_W_lam", "residual_minimize"])
+def test_subnormal_we_is_rejected(call, we):
+    # a subnormal We makes the quartics' companion matrices overflow
+    with pytest.raises(ValueError, match=f"Weber number {we!r} is subnormal"):
+        call(we)
+
+
 # ---------------------------------------------------------------------------
 # graded nodes near the axis
 
