@@ -5,8 +5,9 @@ exterior stream-function boundary-integral solver with circulation
 normalization, residual probes of the overdetermined dynamic condition,
 and an explicit low-Weber non-existence certificate.  The solver's ring
 kernel reads the complete elliptic integrals only through their
-logarithmic split (`elliptic.ellip_log_split`), from one
-arithmetic-geometric mean; the package exports no general K(k), E(k).
+logarithmic split (`elliptic._log_split`, through
+`kernel._modulus_factors`), from one arithmetic-geometric mean; the
+package exports no general K(k), E(k).
 """
 
 from .elliptic import ModulusError

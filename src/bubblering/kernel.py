@@ -91,35 +91,31 @@ def ring_kernel_gradient(source, target):
 
 # ---------------------------------------------------------------------------
 # split pieces for the Nystrom scheme: the solver reads `_modulus` and
-# `_modulus_factors` once per orbit of point pairs; the two split functions
-# are the per-pair reference that the tests compare the assembly against
+# `_modulus_factors` once per orbit of point pairs; `kernel_split` is the
+# per-pair reference that the tests compare the assembly against, and
+# `gradient_split` the one behind `solver.normal_derivative_matrix`
 
 def _modulus_factors(k, q):
-    """The kernel factors that depend on a point pair only through its
-    modulus (k, q = 1 - k^2): (FL, Freg, dFL, RKk, REk), with dFL the log
-    factor of F'(k), RKk = -2 RK / k^2 and REk = (2 - k^2) RE / k^2."""
-    Kc, Ec, RK, RE, kme_q = _log_split(k, q)
-    ik = np.divide(1.0, k, out=np.empty_like(Kc))
-    ik2 = np.multiply(ik, ik, out=np.empty_like(Kc))
-    t = np.multiply(k, Kc, out=np.empty_like(Kc))
+    """(FL, Freg): the factors of the kernel split that depend on a point
+    pair only through its modulus (k, q = 1 - k^2)."""
+    Kc, Ec, RK, RE, _ = _log_split(k, q)
+    ik = np.divide(2.0, k, out=np.empty_like(Kc))      # 2 / k
     FL = np.multiply(Ec, ik, out=Ec)
-    FL *= 2.0
-    FL -= t
+    FL -= np.multiply(k, Kc, out=Kc)
     FL /= np.pi
-    ik *= 2.0                  # 2 / k
-    Freg = np.subtract(ik, k, out=t)
+    Freg = np.subtract(ik, k, out=Kc)
     Freg *= RK
-    Freg -= np.multiply(ik, RE, out=ik)
-    REk = np.multiply(ik2, 2.0, out=ik)
-    REk -= 1.0                 # (2 - k^2) / k^2
-    dFL = np.multiply(kme_q, REk, out=kme_q)
-    ik2 *= 2.0                 # 2 / k^2
-    dFL -= np.multiply(ik2, Kc, out=Kc)
-    dFL /= np.pi
-    REk *= RE
-    RK *= ik2
-    np.negative(RK, out=RK)
-    return FL, Freg, dFL, RK, REk
+    Freg -= np.multiply(ik, RE, out=RE)
+    return FL, Freg
+
+
+def _gradient_factors(k, q):
+    """(dFL, RKk, REk) of the modulus (k, q): dFL the log factor of F'(k),
+    RKk = -2 RK / k^2 and REk = (2 - k^2) RE / k^2."""
+    Kc, _, RK, RE, kme_q = _log_split(k, q)
+    ik2 = (1.0 / k) ** 2
+    c = 2.0 * ik2 - 1.0         # (2 - k^2) / k^2
+    return (kme_q * c - 2.0 * ik2 * Kc) / np.pi, -(2.0 * ik2) * RK, c * RE
 
 
 def kernel_split(r, z, rb, zb):
@@ -130,7 +126,7 @@ def kernel_split(r, z, rb, zb):
     valid for all point pairs including nearly coincident ones (q -> 0).
     """
     k, q, _, _ = _modulus(r, z, rb, zb)
-    FL, Freg, _, _, _ = _modulus_factors(k, q)
+    FL, Freg = _modulus_factors(k, q)
     return k, q, FL, Freg, np.sqrt(r * rb) / (2.0 * np.pi)
 
 
@@ -145,7 +141,8 @@ def gradient_split(r, z, rb, zb, nr, nz, kappa_diag=None):
     Returns (q, rho2, AL, Areg), rho2 = |x - y|^2.
     """
     k, q, d1sq, rho2 = _modulus(r, z, rb, zb)
-    FL, Freg, dFL, RKk, REk = _modulus_factors(k, q)
+    FL, Freg = _modulus_factors(k, q)
+    dFL, RKk, REk = _gradient_factors(k, q)
     pref = np.sqrt(r * rb) / (2.0 * np.pi)
     ndx = nr * (r - rb) + nz * (z - zb)  # n . (x - y)
     # n . grad k = k (nr rho^2 / (2r) - n.dx) / d1^2  (exact identity)

@@ -10,11 +10,9 @@ t(s) = s + alpha sin s (Kress, Numer. Math. 58, 1990), trapezoidal weights
 in s.  The map clusters the nodes at t = pi, the innermost point of every
 smooth kind, refining there by 1/(1 - alpha).  A section close to the axis
 has a boundary layer at t = pi that uniform nodes resolve only at large n;
-`_grading` picks alpha from r_min/a (a = sqrt(area / 2 pi)): 0 for
-sections far from the axis, and 0 where r_min exceeds the radius of
-curvature at the outer point t = 0, where the map thins the nodes.  It
-never depends on n, so a sample of n/2 nodes is the nodes [::2] of one of
-n."""
+`_grading` picks alpha from r_min/a (a = sqrt(area / 2 pi)) alone, 0
+for sections far from the axis.  It never depends on n, so a sample of
+n/2 nodes is the nodes [::2] of one of n."""
 
 from __future__ import annotations
 
@@ -56,31 +54,33 @@ CONVEXITY_TOL = 1e-10
 # gap of n = 512 against n = 256 (uniform nodes, alpha = 0, in the first
 # column), and the best alpha of a scan in steps of 0.1:
 #     r_min/a   uniform   best alpha, gap     the rule's alpha
-#     0.0045    0.61      0.9,  1.4e-5        0.9
-#     0.008     6.6e-2    0.9,  2.3e-7        0.9
-#     0.0143    1.1e-2    0.9,  1.4e-9        0.9
-#     0.026     4.7e-4    0.8,  1.1e-12       0.9
-#     0.046     4.2e-6    0.7,  2.7e-13       0.62
-#     0.084     2.3e-9    0.4,  1.2e-13       0.23
-#     0.157     9.4e-14   0,    9.4e-14       0
+#     0.0045    0.67      0.9,  4.8e-6        0.9
+#     0.008     6.0e-2    0.9,  7.3e-8        0.9
+#     0.0143    7.1e-3    0.9,  3.9e-10       0.9
+#     0.026     2.4e-4    0.8,  4.4e-12       0.9
+#     0.046     1.8e-6    0.7,  1.1e-12       0.62
+#     0.084     9.0e-10   0.4,  3.4e-13       0.23
+#     0.157     3.6e-13   0.3,  3.1e-13       0
 # Against an n = 2048 solve the rule is as accurate as uniform nodes or
 # more at each x above and n = 128, 256 and 512, down to that solve's own
 # floor of about 1e-11.  The cap keeps t(s) monotone and the condition
 # estimate at most 2.7e8 (at x = 0.0045).
-# The map thins the nodes at the outer point t = 0 by 1 + alpha.  That
-# costs nothing on disks, Fourier stars and tall ellipses, but a flat
-# ellipse's outer tip is as sharp as its inner one: with n/m = 0.03 (z
-# semi-axis over r semi-axis) and x = 0.03, alpha = 0.9 gives a flow-speed
-# error of 2.5e-4 at n = 256 (1.0e-6 uniform) and 6.3e-8 at n = 512
-# (1.6e-11).  So alpha = 0 where r_min exceeds the radius of curvature
-# rho(0) at t = 0.  On ellipses of n/m from 0.01 to 40 and x from 0.0007
-# to 0.11 (errors at n = 256 and 512 against n = 2048), every graded case
-# is at least as accurate as uniform nodes, to that solve's floor, save
-# one that neither resolves (n/m = 40, x = 0.003, n = 256: errors 19 and
-# 7.1).  The cut-off cases were worse or level graded, save some with
-# r_min / rho(0) from 1.1 to 3.1 that lose a little at n = 256 (n/m =
-# 0.07, x = 0.03: 1.5e-7, against 4.5e-9 graded) and at most 1.3e-10 at
-# n = 512.
+# The map thins the nodes at the outer point t = 0 by 1 + alpha, and a flat
+# ellipse's outer tip is as sharp as its inner one.  The rule grades it all
+# the same.  On ellipses of n/m (z semi-axis over r semi-axis) from 0.01 to
+# 40 and x from 0.0007 to 0.11, with errors at n = 256 and 512 against an
+# n = 2048 solve with the same alpha:
+#   - Flat ones (n/m <= 0.1): in 33 of their 66 cases r_min exceeds the
+#     outer radius of curvature rho(0).  The worst graded case is 2.8e-4
+#     at n = 256 and 7.6e-6 at 512 (n/m = 0.01), against 6.1e-2 and 1.7e-3
+#     uniform.  Uniform nodes are more accurate at n = 512 for n/m <= 0.02
+#     and x from 0.02 to 0.07 (at most 7.6e-6 graded against 1.2e-6
+#     uniform, n/m = 0.01, x = 0.03), at n/m = 0.02, x = 0.05 and n = 256
+#     (3.8e-6 against 3.1e-6), and elsewhere only below 1.3e-10.
+#   - Tall ones lose graded only where neither resolves (n/m = 40,
+#     x <= 0.003: errors 2.5 to 9.5 graded, 0.6 to 1.7 uniform).
+#   - At x = 0.0007 the n = 2048 solve exceeds the condition gate for
+#     n/m >= 10 graded and n/m = 5 uniform; those cases are left out.
 _GRADING_FROM = 0.12   # x at and above which alpha = 0
 _GRADING_FULL = 0.03   # x at and below which alpha = _GRADING_MAX
 _GRADING_MAX = 0.9
@@ -392,15 +392,11 @@ def _grading(shape: CrossSection) -> float:
     """alpha of a smooth kind's nodes from x = r_min / a (see the rule
     above); r_min is r at t = pi, where a convex z -> -z symmetric section
     meets z = 0 on its inner side.  0 for an x that is not positive and
-    finite (an invalid shape, which `_check_smooth` then refuses), and 0
-    where r_min exceeds the radius of curvature at the outer point t = 0."""
+    finite (an invalid shape, which `_check_smooth` then refuses)."""
     r_min = shape.point(np.pi)[0]
     with np.errstate(all="ignore"):
         x = float(r_min / np.sqrt(shape.area / (2.0 * np.pi)))
     if not 0.0 < x < _GRADING_FROM:
-        return 0.0
-    (dr, dz), (ddr, ddz) = shape.derivs(0.0)
-    if r_min * (dr * ddz - dz * ddr) > np.hypot(dr, dz) ** 3:
         return 0.0
     return _GRADING_MAX * min(1.0, math.log(_GRADING_FROM / x)
                               / math.log(_GRADING_FROM / _GRADING_FULL))

@@ -8,24 +8,37 @@ with the ring kernel G.  The Dirichlet data is psi = W r^2/2 + gamma on the
 boundary, with the flux constant gamma an extra unknown fixed by the
 circulation normalization  int (1/r) dpsi/dn ds = -1  (beta = 1, a = 1).
 
+The surface flow is read off the density.  Inside the section the single
+layer solves the same Dirichlet problem, and W r^2/2 + gamma solves the
+stream equation there (the section stays off the axis), so the two agree
+inside.  The conormal jump relation then gives the exterior normal
+derivative exactly,
+
+    dpsi/dn = W r n_r - r phi,   so   (1/r) dpsi/dn - W n_r = -phi,
+
+the surface-vorticity identity of Martensen's method (Lewis, Vortex
+Element Methods for Fluid Dynamic Analysis of Engineering Systems, 1991).
+Since int n_r ds = 0, the circulation normalization reads int phi ds = 1,
+and the bordered system's last row is the quadrature weights.  No solve
+assembles the normal-derivative operator; `normal_derivative_matrix`
+builds it pair by pair, a reference for the tests and a layer that
+perfbench's tracer names.
+
 Discretization: the nodes of `boundary_nodes`, uniform in a parameter s
 and graded toward the innermost point by the section's own rule (see
 `shapes`), the trapezoidal rule in s for the smooth kernel part, and the
 spectral quadrature of Martensen/Kussmaul type for the logarithmic part
-ln(4 sin^2((s - sigma)/2)); the normal derivative follows from the
-conormal jump relation of the single layer, with the principal value
-handled by the same splitting.  Everything works in s with the speed
+ln(4 sin^2((s - sigma)/2)).  Everything works in s with the speed
 |dX/ds|, so the grading costs no kernel work.
 
 The boundary nodes are exactly z -> -z symmetric: node n - j is a copy of
-node j with z negated.  Every kernel factor that is symmetric in the point
-pair (the modulus, the elliptic log split, the log-quadrature correction
-Rlog and the combined coefficients P, D3, D4 of `_orbit_coefficients`) is
-computed once per orbit of the node pairs under reciprocity
+node j with z negated.  The single-layer coefficient P of
+`_orbit_coefficients`, with the modulus, the elliptic log split and the
+log-quadrature correction Rlog behind it, is symmetric in the point pair;
+it is computed once per orbit of the node pairs under reciprocity
 (i, j) <-> (j, i) and the mirror (i, j) <-> (n - i, n - j), about a quarter
 of all pairs, in fixed blocks of orbit representatives.  The matrix
-entries are then gathers of these coefficients and row and column
-scalings, plus the target normal's dot product with each source.
+entries are then gathers of P and row and column scalings.
 `solve_dirichlet` uses the mirror symmetry of every section: it gathers
 the folded block directly, target nodes 0..n/2 with column j carrying node
 j and its mirror n - j, through two orbit maps (one for j, one for n - j),
@@ -45,7 +58,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .kernel import _modulus, _modulus_factors, ring_kernel
+from .kernel import (_modulus, _modulus_factors, gradient_split,
+                     ring_kernel)
 from .shapes import (DEFAULT_RESOLUTION, CrossSection, Polygon,
                      SmoothBoundary, boundary_nodes)
 
@@ -181,29 +195,22 @@ def _folded_orbits(n: int):
 
 
 def _orbit_coefficients(bnd: SmoothBoundary):
-    """Every kernel factor that is symmetric in the point pair, once per
-    orbit representative of `_pair_orbits`: the rows (P, D3, D4, B2) of a
-    (4, m + 1) array, the last column the zero sentinel of `_gather`,
-
-        P  = h Freg - Rlog FL,
-        B1 = pref k (h RKk - Rlog dFL) / d1^2,   B2 = pref k h REk,
-        D3 = B1 rho^2 + B2,   D4 = B1 + B2 / rho^2 (0 on the diagonal),
-
-    pref = sqrt(r rb) / (2 pi) and Rlog = R_d + h ln(q / 4 sin^2(pi d/n)),
-    h ln(speed^2 / (4 r^2)) on the diagonal.  Computed in place from Rlog / h
-    and pref k h, in fixed blocks of _ORBIT_BLOCK representatives (so the
-    outputs depend on n alone) whose temporaries stay in cache."""
+    """The single-layer coefficient P = h Freg - Rlog FL of the kernel
+    split, once per orbit representative of `_pair_orbits`, with the zero
+    sentinel of `_gather` appended: an (m + 1,) array.  Rlog = R_d +
+    h ln(q / 4 sin^2(pi d/n)), h ln(speed^2 / (4 r^2)) on the diagonal.
+    Computed in place from Rlog / h, in fixed blocks of _ORBIT_BLOCK
+    representatives (so the outputs depend on n alone) whose temporaries
+    stay in cache."""
     n = bnd.n_nodes
     ra, rb, start, R, s2 = _pair_orbits(n)
     m = ra.size
-    coef = np.zeros((4, m + 1))
+    coef = np.zeros(m + 1)
     for lo in range(0, m, _ORBIT_BLOCK):
         blk = slice(lo, min(lo + _ORBIT_BLOCK, m))
-        P, D3, D4, B2 = coef[:, blk]
         i, j = ra[blk], rb[blk]
-        ri, rj = bnd.r[i], bnd.r[j]
-        k, q, d1sq, rho2 = _modulus(ri, bnd.z[i], rj, bnd.z[j])
-        FL, Freg, dFL, B1, REk = _modulus_factors(k, q)    # B1 = RKk
+        k, q, _, _ = _modulus(bnd.r[i], bnd.z[i], bnd.r[j], bnd.z[j])
+        FL, Freg = _modulus_factors(k, q)
         a0, a1 = np.searchsorted(start, (lo, blk.stop))
         diag = start[a0:a1] - lo     # the diagonal pairs (a, a) of the block
         lg = np.divide(q, s2[blk], out=q)
@@ -211,73 +218,55 @@ def _orbit_coefficients(bnd: SmoothBoundary):
         np.log(lg, out=lg)
         lg += R[blk] * (n / (2.0 * np.pi))      # Rlog / h
         Freg -= np.multiply(FL, lg, out=FL)
-        np.multiply(Freg, 2.0 * np.pi / n, out=P)
-        pkh = np.sqrt(ri * rj) * (k / n)
-        np.multiply(pkh, REk, out=B2)
-        B1 -= np.multiply(dFL, lg, out=dFL)
-        B1 *= pkh
-        B1 /= d1sq
-        np.add(np.multiply(B1, rho2, out=D3), B2, out=D3)
-        rho2[diag] = 1.0
-        np.add(np.divide(B2, rho2, out=D4), B1, out=D4)
-        D4[diag] = 0.0
+        np.multiply(Freg, 2.0 * np.pi / n, out=coef[blk])
     return coef
 
 
 def _gather(bnd: SmoothBoundary, col, mirror):
-    """S and A on nodes 0..c-1 (targets and columns) from the orbit
-    coefficients: orbit map `col` adds the source y = (r_j, z_j), `mirror`
-    y = (r_j, -z_j) or the zero sentinel.  With P and D3 summed over both,
+    """S on nodes 0..c-1 (targets and columns) from the orbit coefficients:
+    orbit map `col` adds the source y = (r_j, z_j), `mirror` y = (r_j, -z_j)
+    or the zero sentinel,
 
-        S_ij = P (sqrt(r_i) / 2 pi) (sqrt(r_j) speed_j),
-        A_ij = nr_i / (2 r_i) (S_ij + speed_j D3)
-               - speed_j sum_y n_i.(x_i - y) D4,
-
-    less speed_i B2 kappa_i / 2 on the diagonal.  n_i.(x_i - y) is taken
-    per source: the sum and difference of a source and its mirror would
-    cancel near the diagonal."""
-    P, D3, D4, B2 = _orbit_coefficients(bnd)
-    c = col.shape[0]
-    r, z, speed = bnd.r[:c], bnd.z[:c], bnd.speed[:c]
-    nr, nz = bnd.normal_r[:c, None], bnd.normal_z[:c, None]
-    nrdx = nr * (r[:, None] - r)
+        S_ij = (P[col] + P[mirror]) (sqrt(r_i) / 2 pi) (sqrt(r_j) speed_j).
+    """
+    P = _orbit_coefficients(bnd)
+    r = bnd.r[:col.shape[0]]
     S = P[col] + P[mirror]
-    S *= np.outer(np.sqrt(r) / (2.0 * np.pi), np.sqrt(r) * speed)
-    A = (D3[col] + D3[mirror]) * speed
-    A += S
-    A *= nr / (2.0 * r[:, None])
-    A -= ((nrdx + nz * (z[:, None] - z)) * D4[col]
-          + (nrdx + nz * (z[:, None] + z)) * D4[mirror]) * speed
-    diag = np.diag_indices(c)
-    A[diag] -= 0.5 * speed * B2[col[diag]] * bnd.curvature[:c]
-    return S, A
+    S *= np.outer(np.sqrt(r) / (2.0 * np.pi), np.sqrt(r) * bnd.speed[:r.size])
+    return S
 
 
-def _assemble(bnd: SmoothBoundary) -> tuple[np.ndarray, np.ndarray]:
-    """The single-layer matrix S and the principal-value normal-derivative
-    matrix A (psi = S phi, dpsi/dn = -r phi / 2 + A phi) of a mirror-even
-    density, folded: target nodes 0..n/2, and column j carries node j and
-    its mirror n - j."""
+def _assemble(bnd: SmoothBoundary) -> np.ndarray:
+    """The single-layer matrix S (psi = S phi) of a mirror-even density,
+    folded: target nodes 0..n/2, and column j carries node j and its
+    mirror n - j."""
     return _gather(bnd, *_folded_orbits(bnd.n_nodes))
 
 
-def _unfolded(bnd: SmoothBoundary) -> tuple[np.ndarray, np.ndarray]:
-    """S and A on all n target nodes and all n columns, with no mirror
-    source: every entry of the mirror map is the zero sentinel."""
+def single_layer_matrix(bnd: SmoothBoundary) -> np.ndarray:
+    """Matrix mapping nodal densities to psi at the nodes: the gather on
+    all n target nodes and all n columns, with no mirror source."""
     n = bnd.n_nodes
     col = _orbit_of(n, *np.ogrid[:n, :n])
     return _gather(bnd, col, np.full_like(col, _pair_orbits(n)[0].size))
 
 
-def single_layer_matrix(bnd: SmoothBoundary) -> np.ndarray:
-    """Matrix mapping nodal densities to psi at the nodes."""
-    return _unfolded(bnd)[0]
-
-
 def normal_derivative_matrix(bnd: SmoothBoundary) -> np.ndarray:
     """Matrix for the principal-value part of dpsi/dn on the exterior side;
-    the full exterior derivative is  -r phi / 2 + (this matrix) phi."""
-    return _unfolded(bnd)[1]
+    the full exterior derivative is  -r phi / 2 + (this matrix) phi.  Built
+    pair by pair from `gradient_split` with the solver's log quadrature; no
+    solve uses it (see the module docstring), it is the reference the
+    tests check the surface flow against."""
+    n = bnd.n_nodes
+    h = 2.0 * np.pi / n
+    d = np.abs(np.arange(n)[:, None] - np.arange(n))
+    q, _, AL, Areg = gradient_split(
+        bnd.r[:, None], bnd.z[:, None], bnd.r, bnd.z, bnd.normal_r[:, None],
+        bnd.normal_z[:, None], kappa_diag=bnd.curvature[:, None])
+    ratio = q / np.where(d > 0, 4.0 * np.sin(np.pi * d / n) ** 2, 1.0)
+    np.fill_diagonal(ratio, bnd.speed**2 / (4.0 * bnd.r**2))
+    Rlog = log_quadrature_weights(n)[d] + h * np.log(ratio)
+    return (h * Areg - Rlog * AL) * bnd.speed
 
 
 def _inverse_norm1(lu, getrs) -> float:
@@ -327,7 +316,7 @@ def _first_kind_solve(mat: np.ndarray, rhs: np.ndarray):
 
 
 def _solve_affine(shape: CrossSection, resolution):
-    """One LU, two right-hand sides: the circulation column (rhs[m] = -1)
+    """One LU, two right-hand sides: the circulation column (rhs[m] = 1)
     and the unit-W column (rhs[:m] = r^2/2).  Returns (bnd, cond, cols),
     cols = (density, psi_trace, dn_psi, gamma), each with a last axis
     [W = 0, per unit W], since the solution is affine in W."""
@@ -338,24 +327,24 @@ def _solve_affine(shape: CrossSection, resolution):
     n = bnd.n_nodes
     half = n // 2
     m = half + 1
-    S, A = _assemble(bnd)
     mult = np.full(m, 2.0)
     mult[[0, half]] = 1.0
     r = bnd.r[:m]
-    w = mult * bnd.weights[:m]
 
-    # (1/r) dpsi/dn = -phi/2 + (1/r) A phi; circulation row in phi:
+    # circulation row: sum w phi = 1, since (1/r) dpsi/dn = W n_r - phi
+    S = _assemble(bnd)
     sys = np.zeros((m + 1, m + 1))
     sys[:m, :m] = S
     sys[:m, m] = -1.0
-    sys[m, :m] = -0.5 * w + (w / r) @ A
+    sys[m, :m] = mult * bnd.weights[:m]
     rhs = np.zeros((m + 1, 2))
-    rhs[m, 0] = -1.0
+    rhs[m, 0] = 1.0
     rhs[:m, 1] = 0.5 * r**2
     sol, cond = _first_kind_solve(sys, rhs)
     phi = sol[:m]
 
-    dn_psi = -r[:, None] * phi / 2.0 + A @ phi
+    dn_psi = -r[:, None] * phi
+    dn_psi[:, 1] += r * bnd.normal_r[:m]
     mirror = np.minimum(np.arange(n), n - np.arange(n))
     return bnd, cond, (phi[mirror], (S @ phi)[mirror], dn_psi[mirror],
                        sol[m])
@@ -377,8 +366,9 @@ def solve_dirichlet(shape: CrossSection, W: float,
     """Solve the exterior problem with data W r^2/2 + gamma on the boundary.
 
     gamma is determined jointly with the density by appending the discrete
-    circulation constraint  sum w_i (1/r_i) dpsi/dn_i = -1, evaluated by
-    the same jump-relation quadrature that reports dn_psi.
+    circulation constraint  sum w_i phi_i = 1, which is
+    sum w_i (1/r_i) dpsi/dn_i = -1 for dn_psi = W r n_r - r phi (see the
+    module docstring).
 
     The section is symmetric under z -> -z (`boundary_nodes` checks it), so
     node n - j mirrors node j and the density and both traces are even in
@@ -487,7 +477,7 @@ def optimal_W_lam(shape: CrossSection, we: float,
     factorization (variable projection); `report` is `dynamic_residual` at
     that optimum.
 
-    The surface flow a + W b is affine in W, so g = 2H - We flow^2 is
+    The surface flow -phi = a + W b is affine in W, so g = 2H - We flow^2 is
     quadratic in W.  For fixed W the best lam is max(0, -<g>_w), <.>_w the
     weighted boundary mean, and the squared residual sum w g^2 - (sum w)
     lam^2 is a quartic in W on either side of the roots of <g>_w: its
@@ -498,9 +488,7 @@ def optimal_W_lam(shape: CrossSection, we: float,
     _check_we(we)
     bnd, cond, cols = _solve_affine(shape, resolution)
     w = bnd.weights
-    dn_psi = cols[2]
-    a = dn_psi[:, 0] / bnd.r
-    b = dn_psi[:, 1] / bnd.r - bnd.normal_r
+    a, b = -cols[0][:, 0], -cols[0][:, 1]
 
     def sq_norm(c):   # coefficients of sum w (c_0 + c_1 W + c_2 W^2)^2
         # the anti-diagonal sums of the weighted Gram matrix M, each from

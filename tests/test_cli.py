@@ -663,6 +663,10 @@ SMOKE_SHAPES = {
     "star": {"kind": "fourier-star",
              "params": {"R0": 3, "base": 1, "coeffs": [0, 0.05, -0.02]}},
     "flat": {"kind": "ellipse", "params": {"R0": 3, "m": 1, "n": 0.1}},
+    # n/m = 0.03, r_min / a = 0.03: an outer tip sharper than r_min, graded
+    "sharp": {"kind": "ellipse",
+              "params": {"R0": 0.03 ** -0.5 + 0.03 * 0.5 ** 0.5,
+                         "m": 0.03 ** -0.5, "n": 0.03 ** 0.5}},
     "poly": {"kind": "polygon",
              "params": {"vertices": [[1, -0.5], [2, -0.8], [2.5, 0],
                                      [2, 0.8], [1, 0.5]]}},
@@ -676,6 +680,7 @@ SMOKE = {
     "solve-128": "solve --shape {}/disk.json --we 1 --resolution 128",
     "solve-512": "solve --shape {}/disk.json --we 1",
     "near-axis-solve": "solve --shape {}/near-axis.json --we 1",
+    "sharp-solve": "solve --shape {}/sharp.json --we 1",
     "near-axis-bound": "bound --shape {}/near-axis.json --we 0.1",
     "near-axis-analyze": "analyze --shape {}/near-axis.json",
     "deep-axis-analyze": "analyze --shape {}/deep-axis.json",
@@ -709,7 +714,7 @@ def test_smoke_matrix_byte_identical_across_processes(tmp_path):
     expected = {*outs.values(), *(outs[name] + ".log.csv"
                                   for name, argv in SMOKE.items()
                                   if argv.startswith("search"))}
-    assert len(expected) == 25
+    assert len(expected) == 26
     code = textwrap.dedent("""
         import json, sys
         import bubblering.cli
@@ -733,5 +738,6 @@ def test_smoke_matrix_byte_identical_across_processes(tmp_path):
         assert forward == (dirs["reverse"] / out).read_bytes(), out
         if out.endswith(".json"):
             _strict_json(dirs["forward"] / out)
-    solution = _strict_json(dirs["forward"] / "near-axis-solve.json")
-    assert solution["report"]["solution"]["alpha"] > 0
+    for name in ("near-axis-solve", "sharp-solve"):
+        solution = _strict_json(dirs["forward"] / f"{name}.json")
+        assert solution["report"]["solution"]["alpha"] > 0
