@@ -4,10 +4,11 @@ Geometry functionals and inequalities of convex meridional sections, an
 exterior stream-function boundary-integral solver with circulation
 normalization, residual probes of the overdetermined dynamic condition,
 and an explicit low-Weber non-existence certificate.  The solver's ring
-kernel reads the complete elliptic integrals only through their
-logarithmic split (`elliptic._log_split`, through
-`kernel._modulus_factors`), from one arithmetic-geometric mean; the
-package exports no general K(k), E(k).
+kernel reads the complete elliptic integrals only through one
+arithmetic-geometric mean per orbit of node pairs (`elliptic._agm`,
+through `elliptic._nome_agm`), whose A, T and nome sum give its
+single-layer coefficient directly; the package exports no general
+K(k), E(k).
 """
 
 from .elliptic import ModulusError

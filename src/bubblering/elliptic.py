@@ -27,14 +27,22 @@ of positive terms (2 a_{n+1}/a_n = 1 + b_n/a_n lies in (1, 2]); after N
 converged steps the rest is 2^(2-N) ln 2, and RK(0) = 2 ln 2.  RE is
 Legendre's relation E Kc + Ec K - K Kc = pi/2, the log parts cancelling.
 
-The solver knows k and q exactly (`kernel._modulus` computes both from
-the point pair), so the split starts from (k, q), not from q alone:
-sqrt(1 - q) would lose the digits of a small k.  Its first AGM step is in
-closed form, (a, b, c)_1 = ((1 + k)/2, sqrt(k), q / (4 a_1)), and only
-the split accumulates the nome sum.  `_agm` runs the remaining steps, the
-same number for every member of an array, the count of its slowest one.
-The kernel's off-boundary values read K and T of the same `_agm`, started
-at (1, k', k).
+The solver knows k and q exactly (it computes both from the point
+pair), so the split starts from (k, q), not from q alone: sqrt(1 - q)
+would lose the digits of a small k.  `_nome_agm` takes its first AGM step
+in closed form, (a, b, c)_1 = ((1 + k)/2, sqrt(k), q / (4 a_1)), and
+`_agm` runs the remaining steps, the same number for every member of an
+array, the count of its slowest one.  It accumulates the nome sum as the
+product P_n = (2 a_n / a_{n-1}) P_{n-1}^2, P_0 = 1, so that RK = (Kc/pi)
+4 ln(2 P_N) / 2^N, carried scaled: X_n = P_n / (2^(2^n - 1) A_n), A = 4 a,
+starts at X_1 = 1/4 and steps as X_{n+1} = X_n^2 A_n, two multiplications
+and no overflow.  `_nome_agm` leaves A = 4 a_N, T and L = 4 ln(2 P_N) /
+2^N = RK A / 2; `_log_split` reads the five split values off them, and
+the solver its single-layer coefficient (`solver._orbit_coefficients`).
+That path stops one step before the others, where the next step would
+change a, T and the nome sum only in the last bits.  The kernel's
+off-boundary values read K and T of the same `_agm`, started at
+(1, k', k), with every step.
 """
 
 from __future__ import annotations
@@ -52,16 +60,22 @@ class ModulusError(ValueError):
     """Modulus outside [0, 1); K diverges at k = 1."""
 
 
-def _agm(A, B, c, T, P=None):
+def _agm(A, B, c, T, X=None):
     """Finish in place the AGM of the module docstring from its first step,
     with a and b carried times 4 (exact), so c_{n+1} = c_n^2 / A_{n+1}:
-    (A, B, c) = (4 a, 4 b, c)_1, T = 2 c_1^2 and, for the nome sum, P =
-    1 + b_0.  Every member runs the steps of the slowest, the one with the
+    (A, B, c) = (4 a, 4 b, c)_1, T = 2 c_1^2 and, for the nome sum, X =
+    1/4.  Every member runs the steps of the slowest, the one with the
     largest c_1 = (1 - b_0)/2, counted by its scalar recurrence: until
-    c_n <= eps a_n, at most 60 steps in all.  Accumulates P <- P^2 (1 +
-    b_n / a_n) when given; P stays below 2^(2^N), so ln(2 P) is finite for
-    b_0 >= 1e-8 (N <= 9).  Leaves A = 4 a_N, T and P in place (B is used as
-    scratch) and returns 2^N."""
+    c_n <= eps a_n, at most 60 steps in all.  Leaves A = 4 a_N and T in
+    place (B and c are scratch) and returns 2^N.
+
+    Given X, accumulates X <- X^2 A_n, so that X_N A_N =
+    P_N / 2^(2^N - 1), P_N the nome product of the module docstring; it
+    lies in [2^(1 - 2^N), 1], a normal float for b_0 >= 1e-8 (N <= 9).
+    This path stops one step short of the count, at N = count - 1: the
+    skipped step would move a by c_{N+1} <= eps a_{N+1} (a_{N+1} = a_N -
+    c_{N+1}), the nome sum 4 ln(2 P_N) / 2^N by about 4 eps / 2^(N+1), and
+    T by at most eps/2 of its last term."""
     steps = 0
     if c.size:
         i = np.argmax(c)
@@ -72,20 +86,17 @@ def _agm(A, B, c, T, P=None):
             steps += 1
     t = np.empty_like(A)
     pow2 = 2.0
-    with np.errstate(over="ignore"):
-        for _ in range(steps):
-            np.sqrt(np.multiply(A, B, out=t), out=t)
-            if P is not None:      # P^2 (1 + b/a) = P^2 (A + B) / A
-                P *= P
-                P /= A
-            A += B
-            if P is not None:
-                P *= A
-            A *= 0.5
-            B, t = t, B
-            c *= np.divide(c, A, out=t)
-            pow2 *= 2.0
-            T += np.multiply(np.multiply(c, c, out=t), pow2, out=t)
+    for _ in range(steps if X is None else steps - 1):
+        np.sqrt(np.multiply(A, B, out=t), out=t)
+        if X is not None:
+            X *= X
+            X *= A
+        A += B
+        A *= 0.5
+        B, t = t, B
+        c *= np.divide(c, A, out=t)
+        pow2 *= 2.0
+        T += np.multiply(np.multiply(c, c, out=t), pow2, out=t)
     return pow2
 
 
@@ -105,33 +116,45 @@ def _agm_kt(b0, c0):
     return np.divide(2.0 * np.pi, A, out=A), T
 
 
+def _nome_agm(k, q):
+    """(A, T, L) of the AGM from (1, k, sqrt q), the modulus k' = sqrt(q)
+    of the exact pair (k, q = 1 - k^2), unchecked: its first step in
+    closed form, (4 a, 4 b, c)_1 = (2 (1 + k), 4 sqrt(k), q / (2 (1 + k))),
+    then `_agm` with the nome sum.  A = 4 a_N, T the tail sum and
+    L = 4 ln(2 P_N) / 2^N = 4 ln 2 + 4 ln(X_N A_N) / 2^N, so Kc = 2 pi / A
+    and RK = 2 L / A."""
+    A = np.add(k, 1.0, out=np.empty(np.shape(k)))
+    A *= 2.0
+    B = np.sqrt(k, out=np.empty_like(A))
+    B *= 4.0
+    c = np.divide(q, A, out=np.empty_like(A))
+    T = np.multiply(c, c, out=np.empty_like(A))
+    T *= 2.0
+    X = np.full_like(A, 0.25)
+    pow2 = _agm(A, B, c, T, X)
+    L = np.multiply(X, A, out=X)            # 2 P_N = 2^(2^N) X_N A_N
+    with np.errstate(over="ignore"):
+        np.ldexp(L, int(pow2), out=L)
+    np.log(L, out=L)
+    L *= 4.0 / pow2
+    return A, T, L
+
+
 def _log_split(k, q):
     """`ellip_log_split` of the modulus k' = sqrt(q) of the exact pair
-    (k, q = 1 - k^2), unchecked.  The AGM from (1, k, sqrt q) takes its
-    first step in closed form, (4 a, 4 b, c)_1 = (2 P_1, 4 sqrt(k), q /
-    (2 P_1)) with P_1 = 1 + k, and the tail reuses its arrays."""
-    P = np.add(k, 1.0, out=np.empty(np.shape(k)))
-    A = np.multiply(P, 2.0, out=np.empty_like(P))
-    B = np.sqrt(k, out=np.empty_like(P))
-    B *= 4.0
-    c = np.divide(q, A, out=np.empty_like(P))
-    T = np.multiply(c, c, out=np.empty_like(P))
-    T *= 2.0
-    pow2 = _agm(A, B, c, T, P)
-    RK = P                      # (Kc/pi) ln(2 P) 4/2^N, Kc = 2 pi / A
+    (k, q = 1 - k^2), unchecked, from `_nome_agm`."""
+    A, T, L = _nome_agm(k, q)
+    RK = np.divide(L, A, out=L)
     RK *= 2.0
-    np.log(RK, out=RK)
-    RK *= 8.0 / pow2
-    RK /= A
     hK = np.divide(np.pi, A, out=A)     # Kc / 2
-    Ec = np.add(q, T, out=c)
+    Ec = np.add(q, T, out=np.empty_like(T))
     np.subtract(2.0, Ec, out=Ec)
     Ec *= hK
     kme_q = np.divide(T, q, out=T, where=q > 0.0)
     kme_q += 1.0
     kme_q *= hK
     Kc = np.multiply(hK, 2.0, out=hK)
-    RE = np.multiply(q, RK, out=B)
+    RE = np.multiply(q, RK, out=np.empty_like(RK))
     RE *= kme_q
     RE += 0.5 * np.pi
     RE /= Kc

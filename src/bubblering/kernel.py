@@ -90,9 +90,10 @@ def ring_kernel_gradient(source, target):
 
 
 # ---------------------------------------------------------------------------
-# split pieces for the Nystrom scheme: the solver reads `_modulus` and
-# `_modulus_factors` once per orbit of point pairs; `kernel_split` is the
-# per-pair reference that the tests compare the assembly against, and
+# split pieces for the Nystrom scheme: no solve calls them (the solver
+# takes its coefficient straight from the AGM, see
+# `solver._orbit_coefficients`); `_modulus_factors` and `kernel_split` are
+# the per-pair references that the tests compare the assembly against, and
 # `gradient_split` the one behind `solver.normal_derivative_matrix`
 
 def _modulus_factors(k, q):

@@ -33,21 +33,24 @@ ln(4 sin^2((s - sigma)/2)).  Everything works in s with the speed
 
 The boundary nodes are exactly z -> -z symmetric: node n - j is a copy of
 node j with z negated.  The single-layer coefficient P of
-`_orbit_coefficients`, with the modulus, the elliptic log split and the
-log-quadrature correction Rlog behind it, is symmetric in the point pair;
-it is computed once per orbit of the node pairs under reciprocity
-(i, j) <-> (j, i) and the mirror (i, j) <-> (n - i, n - j), about a quarter
-of all pairs, in fixed blocks of orbit representatives.  The matrix
-entries are then gathers of P and row and column scalings.
+`_orbit_coefficients`, with the modulus and the log-quadrature correction
+Rlog behind it, is symmetric in the point pair; it is computed once per
+orbit of the node pairs under reciprocity (i, j) <-> (j, i) and the mirror
+(i, j) <-> (n - i, n - j), about a quarter of all pairs, in fixed blocks
+of orbit representatives.  Its one elliptic evaluation is the AGM of
+`elliptic._agm`; P follows directly from the AGM's A, tail sum T and nome
+sum, with no split values in between (the identities are in
+`_orbit_coefficients`).  The matrix entries are then gathers of P and row
+and column scalings.
 `solve_dirichlet` uses the mirror symmetry of every section: it gathers
 the folded block directly, target nodes 0..n/2 with column j carrying node
 j and its mirror n - j, through two orbit maps (one for j, one for n - j),
 and solves the bordered system of n/2 + 1 densities plus gamma, then
-unfolds the results to all n nodes.  The log quadrature
-weights and the orbit maps are cached per n.  The system is solved by LU;
-`condition_number` is the 1-norm condition estimate of LAPACK's dgecon
-algorithm, taken from that factorization, for the folded bordered system,
-and the solve is refused above MAX_CONDITION.
+unfolds the results to all n nodes.  The log quadrature weights, the
+orbit maps and the orbits' log constants are cached per n.  The system
+is solved by LU; `condition_number` is the 1-norm condition estimate of
+LAPACK's dgecon algorithm, taken from that factorization, for the folded
+bordered system, and the solve is refused above MAX_CONDITION.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .kernel import (_modulus, _modulus_factors, gradient_split,
-                     ring_kernel)
+from .elliptic import _nome_agm
+from .kernel import gradient_split, ring_kernel
 from .shapes import (DEFAULT_RESOLUTION, CrossSection, Polygon,
                      SmoothBoundary, boundary_nodes)
 
@@ -149,10 +152,10 @@ def _pair_orbits(n: int):
 
     Representatives: (0, d) for 0 <= d <= n/2 and (a, a + d) for
     1 <= a <= n/2, 0 <= d <= n - 2a, numbered in that order, so the
-    diagonal pair (a, a) is number start[a].  Returns (ra, rb, start, R,
-    s2): the representatives' node indices, and their log weight R_d and
-    4 sin^2(pi d / n) (1 on the diagonal), d = rb - ra.  Read-only, cached
-    per n.
+    diagonal pair (a, a) is number start[a].  Returns (ra, rb, start, Rh,
+    is2): the representatives' node indices, and their log weight over
+    the node spacing, Rh = R_d n / 2 pi, and 1 / (4 sin^2(pi d / n)) (1 on
+    the diagonal), d = rb - ra.  Read-only, cached per n.
     """
     half = n // 2
     counts = np.concatenate([[half + 1], n + 1 - 2 * np.arange(1, half + 1)])
@@ -160,12 +163,14 @@ def _pair_orbits(n: int):
     ra = np.repeat(np.arange(half + 1), counts)
     rb = np.arange(ra.size) - start[ra] + ra
     d = rb - ra
-    s2 = 4.0 * np.sin(np.pi * d / n) ** 2
-    s2[start] = 1.0
-    R = log_quadrature_weights(n)[d]
-    for arr in (ra, rb, start, R, s2):
+    is2 = 4.0 * np.sin(np.pi * d / n) ** 2
+    is2[start] = 1.0
+    np.divide(1.0, is2, out=is2)
+    Rh = log_quadrature_weights(n)[d]
+    Rh *= n / (2.0 * np.pi)
+    for arr in (ra, rb, start, Rh, is2):
         arr.flags.writeable = False
-    return ra, rb, start, R, s2
+    return ra, rb, start, Rh, is2
 
 
 def _orbit_of(n: int, i, j):
@@ -199,26 +204,55 @@ def _orbit_coefficients(bnd: SmoothBoundary):
     split, once per orbit representative of `_pair_orbits`, with the zero
     sentinel of `_gather` appended: an (m + 1,) array.  Rlog = R_d +
     h ln(q / 4 sin^2(pi d/n)), h ln(speed^2 / (4 r^2)) on the diagonal.
-    Computed in place from Rlog / h, in fixed blocks of _ORBIT_BLOCK
-    representatives (so the outputs depend on n alone) whose temporaries
-    stay in cache."""
+
+    k and q come from one reciprocal of d1^2, and P straight from the AGM
+    (`elliptic._agm`, through `elliptic._nome_agm`): A = 4 a_N, the tail
+    sum T and L = 4 ln(2 P_N) / 2^N, P_N the nome product.  With
+    Kc = 2 pi / A, Ec = (pi / A)(2 - q - T), k^2 = 1 - q, RK = 2 L / A and
+    Legendre's relation for RE, the factors of `kernel._modulus_factors`
+    collapse to
+
+        FL = 2 (1 - T) / (A k),   Freg = (RK (1 - T) - A/2) / k,
+
+    so P = (2 h / k) ((1 - T)(L - Rlog/h) / A - A/4).  Computed in place,
+    in fixed blocks of _ORBIT_BLOCK representatives (so the outputs depend
+    on n alone) whose temporaries stay in cache."""
     n = bnd.n_nodes
-    ra, rb, start, R, s2 = _pair_orbits(n)
+    ra, rb, start, Rh, is2 = _pair_orbits(n)
     m = ra.size
     coef = np.zeros(m + 1)
     for lo in range(0, m, _ORBIT_BLOCK):
         blk = slice(lo, min(lo + _ORBIT_BLOCK, m))
-        i, j = ra[blk], rb[blk]
-        k, q, _, _ = _modulus(bnd.r[i], bnd.z[i], bnd.r[j], bnd.z[j])
-        FL, Freg = _modulus_factors(k, q)
+        ri, rj = bnd.r[ra[blk]], bnd.r[rb[blk]]
+        dz2 = bnd.z[ra[blk]] - bnd.z[rb[blk]]
+        dz2 *= dz2
+        inv = np.add(ri, rj)                    # 1 / d1^2
+        inv *= inv
+        inv += dz2
+        np.divide(1.0, inv, out=inv)
+        q = np.subtract(ri, rj)                 # rho^2 / d1^2 = 1 - k^2
+        q *= q
+        q += dz2
+        q *= inv
+        k = np.multiply(ri, rj, out=ri)
+        k *= 4.0
+        k *= inv
+        np.sqrt(np.minimum(k, 1.0, out=k), out=k)
+        A, T, L = _nome_agm(k, q)
         a0, a1 = np.searchsorted(start, (lo, blk.stop))
         diag = start[a0:a1] - lo     # the diagonal pairs (a, a) of the block
-        lg = np.divide(q, s2[blk], out=q)
+        lg = np.multiply(q, is2[blk], out=q)
         lg[diag] = bnd.speed[a0:a1] ** 2 / (4.0 * bnd.r[a0:a1] ** 2)
         np.log(lg, out=lg)
-        lg += R[blk] * (n / (2.0 * np.pi))      # Rlog / h
-        Freg -= np.multiply(FL, lg, out=FL)
-        np.multiply(Freg, 2.0 * np.pi / n, out=coef[blk])
+        lg += Rh[blk]                           # Rlog / h
+        L -= lg
+        L /= A
+        np.subtract(1.0, T, out=T)
+        L *= T
+        A *= 0.25
+        L -= A
+        L /= k
+        np.multiply(L, 4.0 * np.pi / n, out=coef[blk])
     return coef
 
 

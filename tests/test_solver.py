@@ -6,7 +6,8 @@ from bubblering import shapes, solver
 from bubblering.certify import explicit_bound, universal_bound, verdict
 from bubblering.cli import _render
 from bubblering.geometry import geometry_report
-from bubblering.kernel import kernel_split, ring_kernel, ring_kernel_gradient
+from bubblering.kernel import (_modulus, _modulus_factors, kernel_split,
+                               ring_kernel, ring_kernel_gradient)
 from bubblering.search import residual_minimize
 from bubblering.shapes import (Disk, Ellipse, FourierStar, Polygon,
                                boundary_nodes)
@@ -292,12 +293,14 @@ def _full_system_solve(bnd, W):
 _NEAR_AXIS = Disk(R0=np.sqrt(2.0) / (1.0 - 1e-2), rho0=np.sqrt(2.0))
 
 
-_FOLD_SHAPES = pytest.mark.parametrize("shape", [
+_FOLD = [
     Disk(R0=1.55, rho0=np.sqrt(2.0)),
     Ellipse(R0=2.0, m=0.8, n=0.6),
     FourierStar(R0=3.0, base=1.0, coeffs=(0.1, -0.05, 0.02)),
     _NEAR_AXIS,
-], ids=["disk", "ellipse", "fourier-star", "near-axis-disk"])
+]
+_FOLD_IDS = ["disk", "ellipse", "fourier-star", "near-axis-disk"]
+_FOLD_SHAPES = pytest.mark.parametrize("shape", _FOLD, ids=_FOLD_IDS)
 
 
 @pytest.mark.parametrize("n", [128, 512])
@@ -370,6 +373,29 @@ def test_assembly_matches_per_pair_kernels(shape, n):
     S = solver._assemble(bnd)
     assert S.shape == (m, m)
     assert np.max(np.abs(S - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [128, 512])
+@pytest.mark.parametrize(
+    "shape", _FOLD + [Disk(R0=1.7, rho0=1.7 * (1.0 - 10.0 ** -2.5))],
+    ids=_FOLD_IDS + ["disk-10^-2.5"])
+def test_orbit_coefficients_equal_the_split_factors(shape, n):
+    # P straight from the AGM equals h Freg - Rlog FL built from the split
+    # factors of `_modulus_factors` and the log quadrature, on the orbit
+    # representatives; its last entry is the zero sentinel of `_gather`
+    bnd = boundary_nodes(shape, n)
+    ra, rb, start, _, _ = solver._pair_orbits(n)
+    k, q, _, _ = _modulus(bnd.r[ra], bnd.z[ra], bnd.r[rb], bnd.z[rb])
+    FL, Freg = _modulus_factors(k, q)
+    d = rb - ra
+    ratio = q / np.where(d > 0, 4.0 * np.sin(np.pi * d / n) ** 2, 1.0)
+    ratio[start] = bnd.speed[:n // 2 + 1]**2 / (4.0 * bnd.r[:n // 2 + 1]**2)
+    h = 2.0 * np.pi / n
+    Rlog = log_quadrature_weights(n)[d] + h * np.log(ratio)
+    ref = h * Freg - Rlog * FL
+    P = solver._orbit_coefficients(bnd)
+    assert P.shape == (ra.size + 1,) and P[-1] == 0.0
+    assert np.max(np.abs(P[:-1] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("shape", [_NEAR_AXIS, Ellipse(R0=2.0, m=0.8, n=0.6)],
