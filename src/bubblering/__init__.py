@@ -3,12 +3,12 @@
 Geometry functionals and inequalities of convex meridional sections, an
 exterior stream-function boundary-integral solver with circulation
 normalization, residual probes of the overdetermined dynamic condition,
-and an explicit low-Weber non-existence certificate.  The solver's ring
-kernel reads the complete elliptic integrals only through one
+and an explicit low-Weber non-existence certificate.  The solver reads
+the ring kernel's complete elliptic integrals only through one
 arithmetic-geometric mean per orbit of node pairs (`elliptic._agm`,
 through `elliptic._nome_agm`), whose A, T and nome sum give its
-single-layer coefficient directly; the package exports no general
-K(k), E(k).
+single-layer coefficient directly; the package exports no pointwise
+kernel and no general K(k), E(k).
 """
 
 from .elliptic import ModulusError
@@ -35,13 +35,12 @@ from .geometry import (
     weber_number,
     width_height,
 )
-from .kernel import ring_kernel
 from .solver import (
     BoundarySolution,
     ResidualReport,
     SolverError,
     dynamic_residual,
-    evaluate_stream,
+    optimal_W_lam,
     solve_dirichlet,
 )
 from .search import SearchResult, ShapeFamily, residual_minimize

@@ -39,10 +39,8 @@ starts at X_1 = 1/4 and steps as X_{n+1} = X_n^2 A_n, two multiplications
 and no overflow.  `_nome_agm` leaves A = 4 a_N, T and L = 4 ln(2 P_N) /
 2^N = RK A / 2; `_log_split` reads the five split values off them, and
 the solver its single-layer coefficient (`solver._orbit_coefficients`).
-That path stops one step before the others, where the next step would
-change a, T and the nome sum only in the last bits.  The kernel's
-off-boundary values read K and T of the same `_agm`, started at
-(1, k', k), with every step.
+The AGM stops one step before its convergence test would, where the next
+step would change a, T and the nome sum only in the last bits.
 """
 
 from __future__ import annotations
@@ -60,22 +58,21 @@ class ModulusError(ValueError):
     """Modulus outside [0, 1); K diverges at k = 1."""
 
 
-def _agm(A, B, c, T, X=None):
+def _agm(A, B, c, T, X):
     """Finish in place the AGM of the module docstring from its first step,
     with a and b carried times 4 (exact), so c_{n+1} = c_n^2 / A_{n+1}:
-    (A, B, c) = (4 a, 4 b, c)_1, T = 2 c_1^2 and, for the nome sum, X =
-    1/4.  Every member runs the steps of the slowest, the one with the
-    largest c_1 = (1 - b_0)/2, counted by its scalar recurrence: until
-    c_n <= eps a_n, at most 60 steps in all.  Leaves A = 4 a_N and T in
-    place (B and c are scratch) and returns 2^N.
-
-    Given X, accumulates X <- X^2 A_n, so that X_N A_N =
+    (A, B, c) = (4 a, 4 b, c)_1, T = 2 c_1^2 and X = 1/4.  Leaves A = 4 a_N
+    and T in place, and X stepped as X <- X^2 A_n, so that X_N A_N =
     P_N / 2^(2^N - 1), P_N the nome product of the module docstring; it
     lies in [2^(1 - 2^N), 1], a normal float for b_0 >= 1e-8 (N <= 9).
-    This path stops one step short of the count, at N = count - 1: the
-    skipped step would move a by c_{N+1} <= eps a_{N+1} (a_{N+1} = a_N -
-    c_{N+1}), the nome sum 4 ln(2 P_N) / 2^N by about 4 eps / 2^(N+1), and
-    T by at most eps/2 of its last term."""
+    B and c are scratch.  Returns 2^N.
+
+    Every member runs the steps of the slowest, the one with the largest
+    c_1 = (1 - b_0)/2, counted by its scalar recurrence: until c_n <= eps
+    a_n, at most 60 steps in all.  The AGM stops one step short of that
+    count, at N = count - 1: the skipped step would move a by c_{N+1} <=
+    eps a_{N+1} (a_{N+1} = a_N - c_{N+1}), the nome sum 4 ln(2 P_N) / 2^N
+    by about 4 eps / 2^(N+1), and T by at most eps/2 of its last term."""
     steps = 0
     if c.size:
         i = np.argmax(c)
@@ -86,11 +83,10 @@ def _agm(A, B, c, T, X=None):
             steps += 1
     t = np.empty_like(A)
     pow2 = 2.0
-    for _ in range(steps if X is None else steps - 1):
+    for _ in range(steps - 1):
         np.sqrt(np.multiply(A, B, out=t), out=t)
-        if X is not None:
-            X *= X
-            X *= A
+        X *= X
+        X *= A
         A += B
         A *= 0.5
         B, t = t, B
@@ -100,29 +96,12 @@ def _agm(A, B, c, T, X=None):
     return pow2
 
 
-def _agm_kt(b0, c0):
-    """(K, T) of the AGM from (1, b0, c0) = (1, k', k): the first step
-    (a, b, c)_1 = ((1 + b0)/2, sqrt(b0), c0 (c0 / (4 a_1))), then `_agm`,
-    and K = pi / (2 a_N)."""
-    A = np.add(b0, 1.0, out=np.empty(np.shape(b0)))
-    A *= 2.0
-    B = np.sqrt(b0, out=np.empty_like(A))
-    B *= 4.0
-    c = np.divide(c0, A, out=np.empty_like(A))
-    c *= c0
-    T = np.multiply(c, c, out=np.empty_like(A))
-    T *= 2.0
-    _agm(A, B, c, T)
-    return np.divide(2.0 * np.pi, A, out=A), T
-
-
 def _nome_agm(k, q):
     """(A, T, L) of the AGM from (1, k, sqrt q), the modulus k' = sqrt(q)
     of the exact pair (k, q = 1 - k^2), unchecked: its first step in
     closed form, (4 a, 4 b, c)_1 = (2 (1 + k), 4 sqrt(k), q / (2 (1 + k))),
-    then `_agm` with the nome sum.  A = 4 a_N, T the tail sum and
-    L = 4 ln(2 P_N) / 2^N = 4 ln 2 + 4 ln(X_N A_N) / 2^N, so Kc = 2 pi / A
-    and RK = 2 L / A."""
+    then `_agm`.  A = 4 a_N, T the tail sum and L = 4 ln(2 P_N) / 2^N =
+    4 ln 2 + 4 ln(X_N A_N) / 2^N, so Kc = 2 pi / A and RK = 2 L / A."""
     A = np.add(k, 1.0, out=np.empty(np.shape(k)))
     A *= 2.0
     B = np.sqrt(k, out=np.empty_like(A))

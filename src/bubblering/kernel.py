@@ -12,25 +12,20 @@ logarithmically singular at coincident points: with q = 1 - k^2,
     F(k) = FL(k, q) ln(1/q) + Freg(k, q),
 
 and both factors are analytic, which is what the Nystrom scheme consumes.
-
-Pointwise, F and F'(k) = -2K/k^2 + (2 - k^2) E / (k^2 q) come from one AGM
-(`elliptic._agm_kt`): with E = K (1 - k^2/2 - T/2) and the AGM tail sum T,
-
-    F(k)  = K T / k,
-    F'(k) = K (k^2 (k^2 + T)/2 - T) / (k^2 q).
-
-The O(1/k) parts of K and E cancel in closed form, and T ~ k^4/8, so the
-far field F ~ (pi/16) k^3 needs no series.  Near k = 1 the bracket tends
-to E/K, so F' keeps a relative error of about K eps.
+No solve calls this module's split: the solver takes its coefficient
+straight from the AGM (`solver._orbit_coefficients`).  `_modulus_factors`
+and `kernel_split` are the per-pair references that the tests compare the
+assembly against, and `gradient_split` the one behind
+`solver.normal_derivative_matrix`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .elliptic import _agm_kt, _log_split
+from .elliptic import _log_split
 
-__all__ = ["ring_kernel", "ring_kernel_gradient"]
+__all__ = ["kernel_split", "gradient_split"]
 
 
 def _modulus(r, z, rb, zb):
@@ -41,60 +36,6 @@ def _modulus(r, z, rb, zb):
     q = rho2 / d1sq  # complementary modulus squared, exact: 1 - k^2
     return np.sqrt(np.minimum(k2, 1.0)), q, d1sq, rho2
 
-
-def _pointwise(source, target):
-    """(r, z, k, d1^2, F, F') of a filament at `source` seen from `target`,
-    F and F' from one AGM (see the module docstring; q seeds it, so k near
-    1 keeps its digits).  Raises ValueError for a radius that is not finite
-    and positive, a z that is not finite, or coincident points."""
-    rb, zb = source
-    r = np.asarray(target[0], dtype=float)
-    z = np.asarray(target[1], dtype=float)
-    if not all(np.all((0 < x) & (x < np.inf)) for x in (np.asarray(rb), r)):
-        raise ValueError("ring kernel needs finite positive radii")
-    if not (np.all(np.isfinite(zb)) and np.all(np.isfinite(z))):
-        raise ValueError("ring kernel needs finite z")
-    k, q, d1sq, rho2 = _modulus(r, z, rb, zb)
-    if np.any(rho2 == 0.0):
-        raise ValueError("ring kernel is singular at coincident points")
-    K, T = _agm_kt(np.sqrt(q), k)
-    k2 = k * k
-    return r, z, k, d1sq, K * T / k, K * (0.5 * k2 * (k2 + T) - T) / (k2 * q)
-
-
-def ring_kernel(source, target):
-    """Stream-function value at `target` of a unit filament at `source`.
-
-    Both points are (r, z) with positive r; raises for coincident points
-    (the kernel is log-singular there; boundary quadrature must use the
-    split form instead).
-    """
-    r, _, _, _, F, _ = _pointwise(source, target)
-    val = np.sqrt(r * source[0]) / (2.0 * np.pi) * F
-    return float(val) if val.ndim == 0 else val
-
-
-def ring_kernel_gradient(source, target):
-    """(dG/dr, dG/dz) with respect to the target point; raises as
-    `ring_kernel` does."""
-    rb, zb = source
-    r, z, k, d1sq, F, dF = _pointwise(source, target)
-    k_r = k * ((rb - r) * (rb + r) + (z - zb) ** 2) / (2.0 * r * d1sq)
-    k_z = -k * (z - zb) / d1sq
-    pref = np.sqrt(r * rb) / (2.0 * np.pi)
-    Gr = np.sqrt(rb / r) / (4.0 * np.pi) * F + pref * dF * k_r
-    Gz = pref * dF * k_z
-    if Gr.ndim == 0:
-        return float(Gr), float(Gz)
-    return Gr, Gz
-
-
-# ---------------------------------------------------------------------------
-# split pieces for the Nystrom scheme: no solve calls them (the solver
-# takes its coefficient straight from the AGM, see
-# `solver._orbit_coefficients`); `_modulus_factors` and `kernel_split` are
-# the per-pair references that the tests compare the assembly against, and
-# `gradient_split` the one behind `solver.normal_derivative_matrix`
 
 def _modulus_factors(k, q):
     """(FL, Freg): the factors of the kernel split that depend on a point

@@ -171,9 +171,9 @@ def _nelder_mead(fun, simplex, bounds, maxfev: int):
     simplex, (low, high) `bounds` per parameter or None, maxfev, xatol =
     `_XATOL` and fatol = `_FATOL`, no maxiter and no adaptive coefficients.
     Same coefficients, same expressions, same sorts, so it asks `fun` for
-    the same points bit for bit.  A bounded simplex is reflected into the box and clipped, and
-    so is every trial point.  A call past the budget ends the iteration
-    it falls in, as scipy's `_MaxFuncCallError` does.
+    the same points bit for bit.  A bounded simplex is reflected into the
+    box and clipped, and so is every trial point.  A call past the budget
+    ends the iteration it falls in, as scipy's `_MaxFuncCallError` does.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     sim = np.array(simplex, dtype=float)

@@ -62,7 +62,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .elliptic import _nome_agm
-from .kernel import gradient_split, ring_kernel
+from .kernel import gradient_split
 from .shapes import (DEFAULT_RESOLUTION, CrossSection, Polygon,
                      SmoothBoundary, boundary_nodes)
 
@@ -73,7 +73,6 @@ __all__ = [
     "solve_dirichlet",
     "dynamic_residual",
     "optimal_W_lam",
-    "evaluate_stream",
     "log_quadrature_weights",
     "SOLVER_TOL",
 ]
@@ -415,18 +414,6 @@ def solve_dirichlet(shape: CrossSection, W: float,
     if not np.isfinite(W):
         raise ValueError("translation speed W must be finite")
     return _solution_at(*_solve_affine(shape, resolution), W)
-
-
-def evaluate_stream(density, bnd: SmoothBoundary, points):
-    """psi at off-boundary points (r, z) from a nodal density on `bnd`
-    (plain trapezoid); raises ValueError as `ring_kernel` does."""
-    phi = np.asarray(density, dtype=float)
-    pr, pz = points
-    pr = np.atleast_1d(np.asarray(pr, dtype=float))
-    pz = np.atleast_1d(np.asarray(pz, dtype=float))
-    vals = ring_kernel((bnd.r, bnd.z), (pr[:, None], pz[:, None]))
-    out = vals @ (phi * bnd.weights)
-    return out if out.size > 1 else float(out[0])
 
 
 def _check_defect(norms, culprit: str) -> None:

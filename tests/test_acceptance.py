@@ -16,7 +16,6 @@ from bubblering.geometry import (
     surface_set_length,
     width_height,
 )
-from bubblering.kernel import ring_kernel
 from bubblering.search import residual_minimize
 from bubblering.shapes import (
     Disk,
@@ -28,10 +27,10 @@ from bubblering.shapes import (
 )
 from bubblering.solver import (
     SOLVER_TOL,
-    evaluate_stream,
     single_layer_matrix,
     solve_dirichlet,
 )
+from ring_oracle import evaluate_stream, ring_kernel
 
 
 class _Timer:

@@ -595,6 +595,37 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
                       ["import bubblering", "import bubblering.cli", *runs]}
 
 
+def test_commands_load_no_test_oracle(tmp_path):
+    # the package is the commands' call graph: importing it and running a
+    # solve and a search loads neither mpmath nor the tests' ring oracle
+    disk = _write_shape(tmp_path, THICK_DISK, "disk.json")
+    runs = {
+        "solve": ["solve", "--shape", disk, "--we", "1", "--resolution",
+                  "128"],
+        "search": ["search", "--shape", "family:thick-disk", "--we", "0.5",
+                   "--budget", "10", "--resolution", "64"],
+    }
+    code = textwrap.dedent("""
+        import json, sys
+
+        def oracle_modules():
+            return sorted(m for m in sys.modules if m == "ring_oracle"
+                          or m == "mpmath" or m.startswith("mpmath."))
+
+        import bubblering
+        loaded = {"import bubblering": oracle_modules()}
+        import bubblering.cli
+        for name, argv in json.loads(sys.argv[1]).items():
+            status = bubblering.cli.main(argv)
+            loaded[name] = oracle_modules() if status == 0 else status
+        print(json.dumps(loaded))
+    """)
+    argvs = {name: argv + ["--out", str(tmp_path / f"{name}.out")]
+             for name, argv in runs.items()}
+    loaded = json.loads(_fresh_python(code, json.dumps(argvs)).stdout)
+    assert loaded == {name: [] for name in ["import bubblering", *runs]}
+
+
 def test_refused_search_loads_no_scipy(tmp_path):
     # the node count is checked with We and the budget, before
     # scipy.optimize is imported

@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 import mpmath
 
-from bubblering.elliptic import ModulusError, _agm_kt, ellip_log_split
+from bubblering.elliptic import ModulusError, ellip_log_split
+from ring_oracle import _reference_agm
 
 
 def mp_KE(k):
@@ -24,7 +25,7 @@ def mp_KE_from_q(q):
 def agm_KE(k):
     # K = K of the AGM seeded (k', k), E = K (1 - k^2/2 - T/2)
     k = np.asarray(k, dtype=float)
-    K, T = _agm_kt(np.sqrt((1.0 - k) * (1.0 + k)), k)
+    K, T = _reference_agm(np.sqrt((1.0 - k) * (1.0 + k)), k)
     return K, K * (1.0 - 0.5 * k * k - 0.5 * T)
 
 
@@ -65,10 +66,10 @@ def test_modulus_validation():
 
 
 def test_complement_form_accuracy():
-    # the seed of kernel._pointwise: b0 = sqrt(q) keeps the digits that
-    # 1 - k loses when k is rounded to 1
+    # the seed of ring_oracle._pointwise: b0 = sqrt(q) keeps the digits
+    # that 1 - k loses when k is rounded to 1
     for q in [1e-14, 1e-10, 1e-6, 1e-3, 0.5, 1.0]:
-        K, T = _agm_kt(np.sqrt(q), np.sqrt(1.0 - q))
+        K, T = _reference_agm(np.sqrt(q), np.sqrt(1.0 - q))
         E = K * (0.5 * (1.0 + q) - 0.5 * T)
         Km, Em = mp_KE_from_q(q)
         assert_allclose(K, Km, rtol=1e-13)
@@ -140,3 +141,15 @@ def test_regular_parts_near_q_one_against_mpmath():
     assert_allclose(RK, want[:, 1], rtol=5e-15)
     assert_allclose(RE, want[:, 2], rtol=5e-15)
 
+
+
+def test_batch_with_a_slow_member_matches_each_own_call():
+    # every member of one call runs the AGM steps of its slowest (here
+    # k = 2^-26 at q = 1 - 2^-52), one short of that member's convergence
+    # test, and each value equals that of its own call to the last bits
+    qs = np.concatenate([[1.0 - 2.0**-52, 1.0 - 1e-12],
+                         np.logspace(-14, np.log10(0.9), 60)])
+    batch = ellip_log_split(qs)
+    for i, q in enumerate(qs):
+        for got, own in zip(batch, ellip_log_split(np.array([q]))):
+            assert_allclose(got[i], own[0], rtol=1e-15)
