@@ -15,7 +15,9 @@ is a usage error.  Exit codes: 0 success, 2 validation or usage error,
 flags the command read), seed, resolution and library version; identical
 configs produce byte-identical files.  Every JSON block is one record's
 fields, written by `_render`, except `verify-lemmas`' `suites`, which
-`cmd_verify_lemmas` builds from `_suite_rows`.
+`cmd_verify_lemmas` builds from `_suite_rows`.  One writer, `_dumps`, emits
+every JSON file, byte-identical to the stdlib's `json.dumps` with an indent
+of 2, sorted keys and `allow_nan=False`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import sys
 
@@ -79,11 +82,44 @@ def _payload(args, report: dict, resolution) -> dict:
     }
 
 
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """`value` as the text of `json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False)`, byte for byte, for the values the CLI writes (dict
+    keys are strings); `indent` starts each of `value`'s own lines.  A
+    list the C encoder renders with no string or container in it holds
+    only numbers, true, false and null, none of which holds ", ": that
+    text is re-indented whole rather than formatted item by item."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not JSON "
+                             f"compliant: {value!r}")
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        body = ("," + inner).join(f"{_ENCODER.encode(k)}: {_dumps(v, inner)}"
+                                  for k, v in sorted(value.items()))
+        return "{" + inner + body + indent + "}" if value else "{}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            text = _ENCODER.encode(value)
+            flat = not ('"' in text or "{" in text or "[" in text[1:])
+        except ValueError:   # a NaN or infinity: the item-wise path names it
+            flat = False
+        body = (text[1:-1].replace(", ", "," + inner) if flat else
+                ("," + inner).join(_dumps(v, inner) for v in value))
+        return "[" + inner + body + indent + "]"
+    return _ENCODER.encode(value)
+
+
 def _emit(args, payload: dict, log: str | None = None) -> None:
     # strict JSON: a NaN or infinity is a ValueError (exit 2) before any
     # file is opened
-    _write(args, json.dumps(payload, indent=2, sort_keys=True,
-                            allow_nan=False) + "\n", log)
+    _write(args, _dumps(payload) + "\n", log)
 
 
 def _write(args, text: str, log: str | None = None) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from numpy.testing import assert_allclose
 
 import bubblering
 from bubblering import __version__
-from bubblering.cli import main
+from bubblering.cli import _dumps, _emit, main
 from bubblering.geometry import ellipse_inv_r2_integral
 
 
@@ -772,3 +773,65 @@ def test_smoke_matrix_byte_identical_across_processes(tmp_path):
     for name in ("near-axis-solve", "sharp-solve"):
         solution = _strict_json(dirs["forward"] / f"{name}.json")
         assert solution["report"]["solution"]["alpha"] > 0
+
+
+def test_smoke_matrix_json_is_the_stdlib_indent_2_text(tmp_path):
+    # the JSON round trip keeps floats and ints exact, so every file the
+    # matrix writes must be json.dumps' own indent-2 text of what it parses
+    # to: the writer may not drift from the stdlib's layout
+    shapes, out = tmp_path / "shapes", tmp_path / "out"
+    shapes.mkdir()
+    out.mkdir()
+    for name, payload in SMOKE_SHAPES.items():
+        _write_shape(shapes, payload, f"{name}.json")
+    for name, argv in SMOKE.items():
+        suffix = ".csv" if argv == "norbury-table" else ".json"
+        assert main([a.format(shapes) for a in argv.split()]
+                    + ["--out", str(out / (name + suffix))]) == 0
+    written = sorted(out.glob("*.json"))
+    assert len(written) == len(SMOKE) - 1   # all but norbury-table's CSV
+    for path in written:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True,
+                                  allow_nan=False) + "\n", path.name
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": {}, "b": [], "c": ()},
+    {"vertices": [[1.0, -0.5], [2.0, -0.8], [2.5, 0.0]], "empty": [[], {}]},
+    ["a, b", 'say "x", y', ""], ["[a, b]", "{", "é"],
+    {"a, b": 1, 'q"': [], "z": None, "": "x"},
+    [1.5, True, False, None, 2, -3],
+    [[1.0, "x"], {"k": [True, None]}, 0.5],
+    [-0.0, 5e-324, 1e16, 2**70, -2**70, 1.0000000000000002],
+    -0.0, 5e-324, 1e16, 2**70, True, False, None, "s, t", 7,
+    (0.25, (1, 2), ()),
+    np.float64(0.1), [np.float64(0.1), np.float64(-2.5e-300)],
+    np.random.default_rng(0).standard_normal(512).tolist(),
+    {"density": np.random.default_rng(1).standard_normal(512).tolist(),
+     "n": 512, "resolution": None},
+], ids=lambda v: type(v).__name__)
+def test_dumps_is_the_stdlib_indent_2_text(value):
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True,
+                                       allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["leaf", "flat-list", "nested"])
+def test_dumps_refuses_non_finite_floats_with_the_stdlib_message(tmp_path,
+                                                                 bad, where):
+    # the C encoder's own error does not name the value; _dumps' does, as
+    # json.dumps(indent=2) does, and _emit opens no file
+    value = {"leaf": {"x": bad}, "flat-list": {"x": [0.5] * 600 + [bad]},
+             "nested": {"x": [[0.5, 1.5], {"y": [2.0, bad]}]}}[where]
+    message = f"Out of range float values are not JSON compliant: {bad!r}"
+    with pytest.raises(ValueError) as stdlib:
+        json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    with pytest.raises(ValueError) as ours:
+        _dumps(value)
+    assert str(ours.value) == str(stdlib.value) == message
+    out = tmp_path / "a.json"
+    with pytest.raises(ValueError):
+        _emit(argparse.Namespace(out=str(out)), value)
+    assert not out.exists()
